@@ -14,15 +14,16 @@ alpha1(X0(y+0i)) = exp(-2i*Theta1(y)), which is tested directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import KernelZeroOnCut
-from .kernel import BranchPoints, Side, branch_points, kernel_value, x_roots, y_roots
+from .errors import KernelZeroOnCut, NonVanishingPhase
+from .kernel import BranchPoints, branch_points, kernel_value, y_roots
 from .model import ModelParams
-from .quadrature import QuadConfig, cosine_grid, integrate_pv
+from .quadrature import QuadConfig, cosine_grid
 
 
 def theta1(params: ModelParams, y):
@@ -78,25 +79,47 @@ def alpha1_winding(params: ModelParams, n_points: int = 2000) -> int:
     return round(float(dargs.sum() / (2.0 * math.pi)))
 
 
-def phi1_exponent_big(params: ModelParams, y: float,
-                      bp: BranchPoints | None = None,
-                      cfg: QuadConfig | None = None) -> float:
-    """The Cauchy principal-value exponent Phi1(y), y strictly inside the cut."""
-    bp = bp or branch_points(params)
-    cfg = cfg or QuadConfig()
-    if not bp.y1 < y < bp.y2:
-        raise ValueError(f"y={y} not strictly inside [{bp.y1}, {bp.y2}]")
-    # secondary pole mu2c2*y*xi = lambda2 must stay outside the cut
-    if bp.y2 * bp.y2 >= params.lambda2 / params.mu2c2:
+def cut_hilbert(g: np.ndarray) -> np.ndarray:
+    """PV integral of g(xi)/(xi - y) over the cut, at every grid node y.
+
+    ``g`` holds samples on the :func:`cosine_grid` nodes of any interval
+    and vanishes like a square root at both ends, so on the grid angles
+    psi_j, g(cos psi) = sum_k c_k sin((k+1) psi) = sqrt(1 - t^2) U_k(t).
+    A DST-II gives the c_k, and PV int_{-1}^{1} sqrt(1 - t^2) U_k(t)/(t - x)
+    dt = -pi T_{k+1}(x) (Mason & Handscomb, Chebyshev Polynomials, ch. 9)
+    the principal value; both sums are length-2n FFTs.
+    """
+    n = g.size
+    twist = np.exp(-0.5j * math.pi * np.arange(1, n + 1) / n)
+    coef = -np.imag(twist * np.fft.fft(g[::-1], 2 * n)[1:n + 1]) * (2.0 / n)
+    coef[-1] *= 0.5
+    spectrum = np.zeros(2 * n, dtype=complex)
+    spectrum[1:n + 1] = coef * twist
+    return -math.pi * np.real(np.fft.fft(spectrum)[:n])[::-1]
+
+
+def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
+                  weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The principal-value exponent Phi1 at every cosine-grid node.
+
+    g = (lambda2 - mu2c2 y^2) Theta1(y)/y on the nodes.  Partial fractions
+    give Phi1(y) = y/(pi (mu2c2 y^2 - lambda2)) [PV int g/(xi - y)
+    - mu2c2 y int g/(mu2c2 y xi - lambda2)]; the second integral is regular.
+    """
+    lam2, mu2 = params.lambda2, params.mu2c2
+    if bp.y2 * bp.y2 >= lam2 / mu2:
         raise KernelZeroOnCut(
             "secondary pole of the Phi1 integrand enters the cut")
-
-    def f(xi):
-        xi = np.asarray(xi, dtype=float)
-        return (y * (params.lambda2 - params.mu2c2 * xi * xi) * theta1(params, xi)
-                / (xi * (params.mu2c2 * y * xi - params.lambda2)))
-
-    return integrate_pv(f, bp.y1, bp.y2, y, cfg) / math.pi
+    # Theta1 = atan2(., q1 + 2*lambda1) vanishes at the ends
+    # iff q1 + 2*lambda1 > 0 there
+    ends = np.array(bp.y_cut)
+    if np.any(mu2 * ends * ends - params.rate_sum * ends + lam2
+              + 2.0 * params.lambda1 <= 0.0):
+        raise NonVanishingPhase(
+            f"Theta1 tends to pi at an end of [{bp.y1}, {bp.y2}]")
+    regular = (1.0 / (mu2 * np.outer(nodes, nodes) - lam2)) @ (weights * g)
+    return (nodes / (math.pi * (mu2 * nodes * nodes - lam2))
+            * (cut_hilbert(g) - mu2 * nodes * regular))
 
 
 @dataclass
@@ -105,7 +128,8 @@ class BoundaryCache:
 
     Immutable after construction; every downstream integral against the
     sin(Theta1)*exp(-Phi1) weight reuses these arrays, so the coefficient
-    assembly touches each node once.
+    assembly touches each node once.  phi1_weights is y_weights times g of
+    :func:`phi1_exponent`, the integrand numerator of log phi1.
     """
 
     params: ModelParams
@@ -114,9 +138,9 @@ class BoundaryCache:
     cfg: QuadConfig
     y_nodes: np.ndarray = field(repr=False)
     y_weights: np.ndarray = field(repr=False)
-    theta1_nodes: np.ndarray = field(repr=False)
     sin_theta1: np.ndarray = field(repr=False)
     exp_neg_phi1: np.ndarray = field(repr=False)
+    phi1_weights: np.ndarray = field(repr=False)
     _phi1_memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -126,11 +150,12 @@ class BoundaryCache:
         bp = branch_points(params)
         nodes, weights = cosine_grid(bp.y1, bp.y2, cfg.grid_size)
         th1 = theta1(params, nodes)
-        phi_big = np.array([phi1_exponent_big(params, y, bp, cfg)
-                            for y in nodes])
+        g = (params.lambda2 - params.mu2c2 * nodes ** 2) * th1 / nodes
+        phi_big = phi1_exponent(params, bp, nodes, weights, g)
         return cls(params=params, bp=bp, grid_size=cfg.grid_size, cfg=cfg,
-                   y_nodes=nodes, y_weights=weights, theta1_nodes=th1,
-                   sin_theta1=np.sin(th1), exp_neg_phi1=np.exp(-phi_big))
+                   y_nodes=nodes, y_weights=weights,
+                   sin_theta1=np.sin(th1), exp_neg_phi1=np.exp(-phi_big),
+                   phi1_weights=weights * g)
 
     def phi1(self, x):
         """The sectionally analytic factor phi1(x), |x| < r1.
@@ -138,37 +163,38 @@ class BoundaryCache:
         Real and positive for real x off the poles of the integrand;
         phi1(0) = 1.
         """
-        if x in self._phi1_memo:
-            return self._phi1_memo[x]
-        p = self.params
-        kern = kernel_value(p, x, self.y_nodes)
-        scale = p.rate_sum * max(1.0, abs(x)) ** 2
-        if np.min(np.abs(kern)) < 1e-12 * scale:
-            raise KernelZeroOnCut(
-                f"K({x}, y) vanishes on the cut [y1, y2]")
-        integrand = ((p.lambda2 - p.mu2c2 * self.y_nodes ** 2)
-                     * self.theta1_nodes / (self.y_nodes * kern))
-        total = float(np.sum(self.y_weights * integrand))
-        value = math.exp(x / math.pi * total)
-        self._phi1_memo[x] = value
-        return value
+        value = self._phi1_memo.get(x)
+        return value if value is not None else float(self.phi1_many([x])[0])
 
-    def phi1_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.phi1(float(x)) for x in xs])
+    def phi1_many(self, xs) -> np.ndarray:
+        """phi1 at each x; the memo misses are tabulated in one matrix."""
+        xs = [float(x) for x in xs]
+        misses = np.array([x for x in dict.fromkeys(xs)
+                           if x not in self._phi1_memo])
+        if misses.size:
+            p = self.params
+            kern = kernel_value(p, misses[:, None], self.y_nodes[None, :])
+            scale = p.rate_sum * np.maximum(1.0, np.abs(misses)) ** 2
+            bad = np.min(np.abs(kern), axis=1) < 1e-12 * scale
+            if bad.any():
+                raise KernelZeroOnCut(
+                    f"K({misses[bad][0]}, y) vanishes on the cut [y1, y2]")
+            total = np.sum(self.phi1_weights / kern, axis=1)
+            self._phi1_memo.update(zip(
+                misses.tolist(), np.exp(misses / math.pi * total).tolist()))
+        return np.array([self._phi1_memo[x] for x in xs])
 
 
-_CACHE: dict[tuple, BoundaryCache] = {}
+@functools.lru_cache(maxsize=32)
+def _cached_build(params: ModelParams, cfg: QuadConfig) -> BoundaryCache:
+    return BoundaryCache.build(params, cfg)
 
 
 def boundary_cache(params: ModelParams,
                    cfg: QuadConfig | None = None) -> BoundaryCache:
-    """Memoized BoundaryCache keyed by (rates, grid_size)."""
-    cfg = cfg or QuadConfig()
-    key = (params.lambda1, params.lambda2, params.mu1c1, params.mu2c2,
-           cfg.grid_size)
-    if key not in _CACHE:
-        _CACHE[key] = BoundaryCache.build(params, cfg)
-    return _CACHE[key]
+    """BoundaryCache memoized by (rates, grid_size); keeps the 32 most
+    recently used."""
+    return _cached_build(params.with_a(0), cfg or QuadConfig())
 
 
 def phi2(params: ModelParams, y: float,

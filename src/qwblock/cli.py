@@ -20,13 +20,11 @@ import sys
 
 from . import __version__
 from .errors import QwblockError
-from .model import ModelParams, params_from_json, validate
+from .model import ModelParams, isolated_limits, params_from_json, validate
 from .oracle import (default_box, blocking_from_distribution, solve_limiting_walk,
                      solve_prelimit)
 from .quadrature import QuadConfig
-from .solver import blocking
-from .model import isolated_limits
-from .solver import baseline_a0
+from .solver import baseline_a0, blocking
 
 SWEEP_HEADER = ["a", "B1", "B2", "B1_inf", "B2_inf", "B1_0", "B2_0",
                 "p00", "residual"]
@@ -40,7 +38,8 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu2", type=float, default=1.0)
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--a", type=int, default=0)
+    p.add_argument("--a", type=int, help="threshold (default: the --config "
+                   "file's, else 0)")
     p.add_argument("--grid-size", type=int,
                    default=int(os.environ.get("QW_GRID_SIZE", "512")))
     p.add_argument("--output", "-o", help="output file (default: stdout)")
@@ -49,13 +48,12 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
 def _params(args) -> ModelParams:
     if args.config:
         base = params_from_json(args.config)
-        a = args.a if args.a else base.a
-        return validate(base.with_a(a))
+        return validate(base.with_a(base.a if args.a is None else args.a))
     if args.lambda1 is None or args.lambda2 is None:
         raise QwblockError("--lambda1 and --lambda2 (or --config) are required")
     return validate(ModelParams(args.lambda1, args.lambda2,
                                 args.mu1 * args.c1, args.mu2 * args.c2,
-                                args.a))
+                                args.a or 0))
 
 
 def _cfg(args) -> QuadConfig:
@@ -118,10 +116,16 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_prelimit(args) -> int:
-    if args.lambda1 is None or args.lambda2 is None:
-        raise QwblockError("--lambda1 and --lambda2 are required")
-    pair = solve_prelimit(args.lambda1, args.lambda2, args.mu1, args.mu2,
-                          args.c1, args.c2, args.a, args.nu)
+    keys = ("lambda1", "lambda2", "mu1", "mu2", "c1", "c2")
+    doc = vars(args)
+    if args.config:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    missing = [k for k in keys if doc.get(k) is None]
+    if missing:
+        raise QwblockError(f"missing {', '.join(missing)} (flags or --config)")
+    a = int(doc.get("a") or 0) if args.a is None else args.a
+    pair = solve_prelimit(*(float(doc[k]) for k in keys), a, args.nu)
     _emit(args, json.dumps({"nu": args.nu, "B1": pair.b1, "B2": pair.b2},
                            indent=2, sort_keys=True) + "\n")
     return 0

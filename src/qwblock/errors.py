@@ -25,12 +25,8 @@ class NegativeDiscriminant(QwblockError):
     """The theta-parametrization discriminant went negative."""
 
 
-class NoConvergence(QwblockError):
-    """An iterative procedure failed to reach its tolerance."""
-
-
-class PoleAtEndpoint(QwblockError):
-    """Principal-value pole too close to an integration endpoint."""
+class NonVanishingPhase(QwblockError):
+    """Theta1 does not vanish at an end of the cut [y1, y2]."""
 
 
 class KernelZeroOnCut(QwblockError):

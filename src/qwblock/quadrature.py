@@ -1,163 +1,32 @@
-"""Integration engine.
+"""The shared cut grid.
 
-Three tools cover every integral in the pipeline:
-
-* :func:`integrate` -- globally adaptive Gauss-Kronrod (7/15) bisection
-  with an embedded error estimate.  The rule is open (no endpoint
-  evaluations), so integrable endpoint singularities are handled by
-  refinement alone.
-* :func:`integrate_pv` -- Cauchy principal value through an interior
-  simple pole, by singularity subtraction.
-* :func:`cosine_grid` -- fixed midpoint rule in the angular variable
-  y = mid + half*cos(psi), clustering nodes at the endpoints.  Used for
-  integrands vanishing like sqrt(.) at both ends, and as the shared
-  cached grid of the boundary-function tabulations.
+:func:`cosine_grid` is the fixed midpoint rule in the angular variable
+y = mid + half*cos(psi), clustering nodes at the endpoints.  Every cut
+integral in the pipeline runs on it: integrands vanishing like sqrt(.)
+at both ends are integrated spectrally, and the principal value of
+:func:`qwblock.boundary.cut_hilbert` is exact on its nodes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .errors import NoConvergence, PoleAtEndpoint
-
-# Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (positive half).
-_XK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277,
-    0.381830050505119, 0.417959183673469,
-])
-
-_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])          # 15 ascending nodes
-_WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and grid sizes shared across the pipeline."""
+    """Grid size shared across the pipeline."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    max_subdivisions: int = 2000
     grid_size: int = 512
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.grid_size < 16 or self.grid_size % 2:
             raise ValueError("grid_size must be even and >= 16")
 
     def with_grid(self, grid_size: int) -> "QuadConfig":
-        return QuadConfig(self.rel_tol, self.abs_tol,
-                          self.max_subdivisions, grid_size)
-
-
-class QuadResult(NamedTuple):
-    value: float
-    error: float
-
-
-def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """One Gauss-Kronrod panel on [a, b]: (kronrod, error estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    k = half * float(_WEIGHTS_K @ fx)
-    g = half * float(_WEIGHTS_G @ fx)
-    return k, abs(k - g)
-
-
-def integrate(f: Callable, a: float, b: float,
-              cfg: QuadConfig | None = None) -> QuadResult:
-    """Adaptive integral of a real function over [a, b].
-
-    ``f`` must accept numpy arrays.  Panels are bisected worst-error
-    first until the summed estimate meets max(abs_tol, rel_tol*|value|).
-    Raises NoConvergence after cfg.max_subdivisions bisections.
-    """
-    cfg = cfg or QuadConfig()
-    if a == b:
-        return QuadResult(0.0, 0.0)
-    val, err = _gk15(f, a, b)
-    # heap keyed by (-error, left endpoint): deterministic worst-first order
-    heap = [(-err, a, b, val, err)]
-    total, total_err = val, err
-    for _ in range(cfg.max_subdivisions):
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            break
-        _, lo, hi, pv, pe = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        total += (v1 + v2) - pv
-        total_err += (e1 + e2) - pe
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    else:
-        raise NoConvergence(
-            f"integral over [{a}, {b}] did not converge in "
-            f"{cfg.max_subdivisions} subdivisions (error {total_err:.3e})")
-    # pairwise tree sum of accepted panels in left-to-right order
-    panels = sorted(heap, key=lambda t: t[1])
-    total = _tree_sum([p[3] for p in panels])
-    total_err = sum(p[4] for p in panels)
-    return QuadResult(total, total_err)
-
-
-def _tree_sum(xs):
-    xs = list(xs)
-    if not xs:
-        return 0.0
-    while len(xs) > 1:
-        pairs = [xs[i] + xs[i + 1] for i in range(0, len(xs) - 1, 2)]
-        if len(xs) % 2:
-            pairs.append(xs[-1])
-        xs = pairs
-    return xs[0]
-
-
-def integrate_pv(f: Callable, a: float, b: float, pole: float,
-                 cfg: QuadConfig | None = None) -> float:
-    """Cauchy principal value of f(xi)/(xi - pole) over [a, b].
-
-    Uses singularity subtraction: the regularized integrand
-    (f(xi) - f(pole))/(xi - pole) is integrated adaptively with the
-    removable point patched to a finite-difference f'(pole), and the
-    extracted pole contributes f(pole)*log((b - pole)/(pole - a)).
-    """
-    cfg = cfg or QuadConfig()
-    span = b - a
-    if min(pole - a, b - pole) < 1e-12 * span:
-        raise PoleAtEndpoint(f"pole {pole} within 1e-12 of [{a}, {b}] endpoint")
-    fp = float(f(pole))
-    h = 1e-6 * span
-    fprime = (float(f(pole + h)) - float(f(pole - h))) / (2.0 * h)
-    patch = 1e-9 * span
-
-    def regularized(xi):
-        xi = np.asarray(xi, dtype=float)
-        d = xi - pole
-        safe = np.where(np.abs(d) < patch, 1.0, d)
-        out = (np.asarray(f(xi), dtype=float) - fp) / safe
-        return np.where(np.abs(d) < patch, fprime, out)
-
-    smooth = integrate(regularized, a, b, cfg).value
-    return smooth + fp * math.log((b - pole) / (pole - a))
+        return QuadConfig(grid_size)
 
 
 def cosine_grid(a: float, b: float, n: int):

@@ -11,11 +11,12 @@ import time
 
 import numpy as np
 
-from qwblock.boundary import alpha1, alpha1_winding, boundary_cache, theta1
-from qwblock.kernel import (Side, branch_points, kernel_value, x_roots,
-                            y_roots)
+from qwblock.boundary import (alpha1, alpha1_winding, boundary_cache,
+                              cut_hilbert, theta1)
+from qwblock.kernel import (Side, branch_points, chebyshev_u, kernel_value,
+                            x_roots, y_roots)
 from qwblock.oracle import solve_limiting_walk, solve_prelimit
-from qwblock.quadrature import QuadConfig, integrate
+from qwblock.quadrature import QuadConfig, cosine_grid
 from qwblock.solver import (baseline_a0, blocking, blocking_with_estimate,
                             eval_P1, eval_P2, solve_boundary)
 
@@ -198,15 +199,16 @@ def test_criterion_11_quadrature_self_convergence():
         "p00": abs(rep512.p00 - rep256.p00),
     }
     honest = all(changes[k] <= max(est[k], 1e-11) for k in changes)
-    # the adaptive engine's own estimates must bound the true error too
-    gk_honest = True
-    for f, a, b, exact in [
-        (lambda x: np.cos(9.0 * x), 0.0, 3.0, math.sin(27.0) / 9.0),
-        (lambda x: np.sqrt(x), 0.0, 4.0, 16.0 / 3.0),
-    ]:
-        res = integrate(f, a, b)
-        gk_honest &= abs(res.value - exact) <= max(res.error, 1e-12)
-    ok = honest and gk_honest
+    # the Chebyshev principal value reproduces its defining identity
+    # PV int sqrt(1 - t^2) U_k(t)/(t - x) dt = -pi T_{k+1}(x) on every node
+    t, _ = cosine_grid(-1.0, 1.0, 512)
+    sqrt_w = np.sqrt(1.0 - t * t)
+    pv_err = max(
+        float(np.max(np.abs(cut_hilbert(sqrt_w * chebyshev_u(k, t))
+                            + math.pi * np.cos((k + 1) * np.arccos(t)))))
+        for k in range(9))
+    pv_exact = pv_err <= 1e-12
+    ok = honest and pv_exact
     worst = max(changes.values())
     _check(11, "grid refinement stays within reported error estimates", ok,
-           f"max change {worst:.1e}")
+           f"max change {worst:.1e}, principal-value error {pv_err:.1e}")

@@ -1,15 +1,22 @@
+import dataclasses
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from qwblock.boundary import (BoundaryCache, alpha1, alpha1_winding,
-                              boundary_cache, phi1_exponent_big, phi2, theta1,
-                              theta2)
-from qwblock.kernel import Side, branch_points, x_roots
+from qwblock.boundary import (BoundaryCache, _cached_build, alpha1,
+                              alpha1_winding, boundary_cache, phi1_exponent,
+                              phi2, theta1, theta2)
+from qwblock.errors import KernelZeroOnCut, NonVanishingPhase
+from qwblock.kernel import Side, branch_points, kernel_value, x_roots
 from qwblock.quadrature import QuadConfig
 
-from conftest import BASE, OVERLOAD2
+from conftest import BASE, CASES, OVERLOAD2
+
+PHI1_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
+                          / "phi1_grid512.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +67,29 @@ def test_alpha1_winding_is_zero(params):
     assert alpha1_winding(params) == 0
 
 
-def test_phi1_exponent_rejects_outside_cut():
+@pytest.mark.parametrize("name", sorted(PHI1_GOLDEN["cases"]))
+def test_phi1_exponent_matches_frozen_grid512(name):
+    # values frozen from the adaptive Gauss-Kronrod principal value that
+    # the Chebyshev transform replaced
+    frozen = PHI1_GOLDEN["cases"][name]
+    cache = BoundaryCache.build(CASES[name],
+                                QuadConfig(PHI1_GOLDEN["grid_size"]))
+    stride = PHI1_GOLDEN["stride"]
+    np.testing.assert_array_equal(cache.y_nodes[::stride], frozen["y"])
+    np.testing.assert_allclose(cache.exp_neg_phi1[::stride],
+                               frozen["exp_neg_phi1"], rtol=1e-10, atol=0)
+
+
+def test_phi1_exponent_guards_the_cut():
     bp = branch_points(BASE)
-    with pytest.raises(ValueError):
-        phi1_exponent_big(BASE, bp.y2 + 0.5, bp)
+    nodes = np.linspace(bp.y1, bp.y2, 18)[1:-1]
+    args = (nodes, np.ones_like(nodes), theta1(BASE, nodes) / nodes)
+    # the secondary pole lambda2/(mu2c2*y) enters the cut once y2^2 >= 2.5
+    with pytest.raises(KernelZeroOnCut):
+        phi1_exponent(BASE, dataclasses.replace(bp, y2=1.6), *args)
+    # q1 + 2*lambda1 = 2y^2 - 11y + 11 < 0 at y = 1.5: Theta1(y2) = pi
+    with pytest.raises(NonVanishingPhase):
+        phi1_exponent(BASE, dataclasses.replace(bp, y2=1.5), *args)
 
 
 def test_cache_arrays(cache64):
@@ -94,10 +120,50 @@ def test_phi1_grid_convergence():
         np.testing.assert_allclose(cache.phi1(x), fine.phi1(x), rtol=1e-10)
 
 
+def test_phi1_many_does_not_depend_on_call_order():
+    xs = np.linspace(-0.8, 1.4, 41)
+    batch = BoundaryCache.build(BASE, QuadConfig(grid_size=64))
+    single = BoundaryCache.build(BASE, QuadConfig(grid_size=64))
+    one_by_one = np.array([single.phi1(x) for x in xs[::-1]])[::-1]
+    np.testing.assert_array_equal(batch.phi1_many(xs), one_by_one)
+    np.testing.assert_array_equal(batch.phi1_many(xs[:5]), one_by_one[:5])
+    # reference: the cut integral of log phi1, one x at a time
+    y, w = batch.y_nodes, batch.y_weights
+    numer = (BASE.lambda2 - BASE.mu2c2 * y * y) * theta1(BASE, y) / y
+    reference = [math.exp(x / math.pi * np.sum(
+        w * numer / kernel_value(BASE, x, y))) for x in xs]
+    np.testing.assert_allclose(one_by_one, reference, rtol=1e-13)
+
+
+def test_phi1_many_rejects_each_kernel_zero(cache64):
+    # a node off the cut gives K(x, .) a real zero: x solves
+    # mu1c1*y x^2 + q1(y) x + lambda1*y = 0 there
+    p = BASE
+    y_out = cache64.bp.y2 + 0.3
+    q1 = p.mu2c2 * y_out ** 2 - p.rate_sum * y_out + p.lambda2
+    disc = q1 * q1 - 4.0 * p.mu1c1 * p.lambda1 * y_out ** 2
+    x_bad = (-q1 + math.sqrt(disc)) / (2.0 * p.mu1c1 * y_out)
+    nodes = cache64.y_nodes.copy()
+    nodes[-1] = y_out
+    bad = dataclasses.replace(cache64, y_nodes=nodes, _phi1_memo={})
+    with pytest.raises(KernelZeroOnCut, match=repr(x_bad)[:8]):
+        bad.phi1_many([0.25, x_bad])
+    assert bad.phi1_many([0.25])[0] > 0.0
+
+
 def test_boundary_cache_is_memoized():
     cfg = QuadConfig(grid_size=64)
     assert boundary_cache(BASE, cfg) is boundary_cache(BASE, cfg)
     assert boundary_cache(BASE, cfg) is boundary_cache(BASE.with_a(3), cfg)
+
+
+def test_boundary_cache_is_bounded():
+    cfg = QuadConfig(grid_size=16)
+    for i in range(100):
+        boundary_cache(BASE.scaled(1.0 + i / 100.0), cfg)
+    info = _cached_build.cache_info()
+    assert info.currsize <= info.maxsize < 100
+    assert boundary_cache(BASE, cfg) is boundary_cache(BASE, cfg)
 
 
 def test_phi2_normalization_and_convergence():

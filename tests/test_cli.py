@@ -126,3 +126,37 @@ def test_parser_lists_subcommands():
     text = parser.format_help()
     for name in ("solve", "sweep", "oracle", "prelimit", "compare"):
         assert name in text
+
+
+def test_solve_at_grid_1024(monkeypatch, capsys):
+    monkeypatch.setenv("QW_GRID_SIZE", "1024")
+    code, out = run(capsys, ["solve", "--lambda1", "3", "--lambda2", "5",
+                             "--mu2", "2", "--a", "2"])
+    assert code == 0
+    np.testing.assert_allclose(json.loads(out)["blocking"]["b1"], 0.64227,
+                               atol=2e-4)
+
+
+def test_solve_threshold_flag_overrides_config(tmp_path, capsys):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"lambda1": 3, "lambda2": 5, "mu1": 1,
+                               "mu2": 2, "c1": 1, "c2": 1, "a": 2}))
+    code, out = run(capsys, ["solve", "--config", str(cfg), "--a", "0",
+                             "--grid-size", "64"])
+    assert code == 0
+    assert json.loads(out)["boundary"] == [json.loads(out)["p00"]]
+
+
+def test_prelimit_reads_config(tmp_path, capsys):
+    flags = ["--lambda1", "0.8", "--lambda2", "0.5", "--mu1", "0.7",
+             "--c2", "2", "--a", "3", "--nu", "3"]
+    _, expected = run(capsys, ["prelimit", *flags])
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"lambda1": 0.8, "lambda2": 0.5, "mu1": 0.7,
+                               "mu2": 1, "c1": 1, "c2": 2, "a": 3}))
+    code, out = run(capsys, ["prelimit", "--config", str(cfg), "--nu", "3"])
+    assert code == 0
+    assert json.loads(out) == json.loads(expected)
+    _, at_zero = run(capsys, ["prelimit", "--config", str(cfg), "--a", "0",
+                              "--nu", "3"])
+    assert json.loads(at_zero) != json.loads(expected)

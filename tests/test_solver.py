@@ -149,3 +149,25 @@ def test_time_rescaling_invariance():
     rep2 = blocking(p.scaled(2.0), CFG)
     np.testing.assert_allclose(rep1.blocking.b1, rep2.blocking.b1, rtol=1e-9)
     np.testing.assert_allclose(rep1.blocking.b2, rep2.blocking.b2, rtol=1e-9)
+
+
+@pytest.mark.parametrize("params", [BASE.with_a(2), UNDERLOAD2.with_a(5),
+                                    OVERLOAD2.with_a(10)])
+def test_grid_1024_agrees_with_grid_512(params):
+    fine = blocking(params, QuadConfig(grid_size=1024)).blocking
+    coarse = blocking(params, QuadConfig(grid_size=512)).blocking
+    np.testing.assert_allclose(tuple(fine), tuple(coarse), rtol=0, atol=1e-9)
+
+
+def test_near_critical_set_solves():
+    # lambda1/mu1c1 = 1.003: the adaptive principal value once refused this
+    # set; at a = 97 blocking sits at the isolation limit
+    p = ModelParams(8.976441448407051, 6.867062552046127, 8.950369222000745,
+                    4.7483445662791155, a=97)
+    rep = blocking(p)
+    inf, a0 = rep.baseline_inf, rep.baseline_a0
+    assert a0.b1 < rep.blocking.b1 < inf.b1
+    assert inf.b2 < rep.blocking.b2 < a0.b2
+    assert rep.normalization_residual < 1e-12
+    fine = blocking(p, QuadConfig(grid_size=1024)).blocking
+    np.testing.assert_allclose(tuple(fine), tuple(inf), rtol=0, atol=1e-7)
