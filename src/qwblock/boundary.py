@@ -23,7 +23,7 @@ import numpy as np
 from .errors import KernelZeroOnCut, NonVanishingPhase
 from .kernel import BranchPoints, branch_points, kernel_value, y_roots
 from .model import ModelParams
-from .quadrature import QuadConfig, cosine_grid
+from .quadrature import QuadConfig, cosine_grid, cut_hilbert
 
 
 def theta1(params: ModelParams, y):
@@ -79,25 +79,6 @@ def alpha1_winding(params: ModelParams, n_points: int = 2000) -> int:
     return round(float(dargs.sum() / (2.0 * math.pi)))
 
 
-def cut_hilbert(g: np.ndarray) -> np.ndarray:
-    """PV integral of g(xi)/(xi - y) over the cut, at every grid node y.
-
-    ``g`` holds samples on the :func:`cosine_grid` nodes of any interval
-    and vanishes like a square root at both ends, so on the grid angles
-    psi_j, g(cos psi) = sum_k c_k sin((k+1) psi) = sqrt(1 - t^2) U_k(t).
-    A DST-II gives the c_k, and PV int_{-1}^{1} sqrt(1 - t^2) U_k(t)/(t - x)
-    dt = -pi T_{k+1}(x) (Mason & Handscomb, Chebyshev Polynomials, ch. 9)
-    the principal value; both sums are length-2n FFTs.
-    """
-    n = g.size
-    twist = np.exp(-0.5j * math.pi * np.arange(1, n + 1) / n)
-    coef = -np.imag(twist * np.fft.fft(g[::-1], 2 * n)[1:n + 1]) * (2.0 / n)
-    coef[-1] *= 0.5
-    spectrum = np.zeros(2 * n, dtype=complex)
-    spectrum[1:n + 1] = coef * twist
-    return -math.pi * np.real(np.fft.fft(spectrum)[:n])[::-1]
-
-
 def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
                   weights: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The principal-value exponent Phi1 at every cosine-grid node.
@@ -107,6 +88,8 @@ def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
     - mu2c2 y int g/(mu2c2 y xi - lambda2)]; the second integral is regular.
     """
     lam2, mu2 = params.lambda2, params.mu2c2
+    if np.any((nodes <= bp.y1) | (nodes >= bp.y2)):
+        raise ValueError(f"nodes outside the cut ({bp.y1}, {bp.y2})")
     if bp.y2 * bp.y2 >= lam2 / mu2:
         raise KernelZeroOnCut(
             "secondary pole of the Phi1 integrand enters the cut")

@@ -3,8 +3,8 @@
 :func:`cosine_grid` is the fixed midpoint rule in the angular variable
 y = mid + half*cos(psi), clustering nodes at the endpoints.  Every cut
 integral in the pipeline runs on it: integrands vanishing like sqrt(.)
-at both ends are integrated spectrally, and the principal value of
-:func:`qwblock.boundary.cut_hilbert` is exact on its nodes.
+at both ends are integrated spectrally, and :func:`cut_hilbert` gives
+their Cauchy principal value at every node.
 """
 
 from __future__ import annotations
@@ -44,3 +44,22 @@ def cosine_grid(a: float, b: float, n: int):
     nodes = mid + half * np.cos(psi[::-1])
     weights = half * np.sin(psi[::-1]) * math.pi / n
     return nodes, weights
+
+
+def cut_hilbert(g: np.ndarray) -> np.ndarray:
+    """PV integral of g(xi)/(xi - y) over [a, b], at every grid node y.
+
+    ``g`` holds samples on the :func:`cosine_grid` nodes of [a, b]
+    and vanishes like a square root at both ends, so on the grid angles
+    psi_j, g(cos psi) = sum_k c_k sin((k+1) psi) = sqrt(1 - t^2) U_k(t).
+    A DST-II gives the c_k, and PV int_{-1}^{1} sqrt(1 - t^2) U_k(t)/(t - x)
+    dt = -pi T_{k+1}(x) (Mason & Handscomb, Chebyshev Polynomials, ch. 9)
+    the principal value; both sums are length-2n FFTs.
+    """
+    n = g.size
+    twist = np.exp(-0.5j * math.pi * np.arange(1, n + 1) / n)
+    coef = -np.imag(twist * np.fft.fft(g[::-1], 2 * n)[1:n + 1]) * (2.0 / n)
+    coef[-1] *= 0.5
+    spectrum = np.zeros(2 * n, dtype=complex)
+    spectrum[1:n + 1] = coef * twist
+    return -math.pi * np.real(np.fft.fft(spectrum)[:n])[::-1]

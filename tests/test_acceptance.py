@@ -11,12 +11,11 @@ import time
 
 import numpy as np
 
-from qwblock.boundary import (alpha1, alpha1_winding, boundary_cache,
-                              cut_hilbert, theta1)
+from qwblock.boundary import alpha1, alpha1_winding, boundary_cache, theta1
 from qwblock.kernel import (Side, branch_points, chebyshev_u, kernel_value,
                             x_roots, y_roots)
 from qwblock.oracle import solve_limiting_walk, solve_prelimit
-from qwblock.quadrature import QuadConfig, cosine_grid
+from qwblock.quadrature import QuadConfig, cosine_grid, cut_hilbert
 from qwblock.solver import (baseline_a0, blocking, blocking_with_estimate,
                             eval_P1, eval_P2, solve_boundary)
 

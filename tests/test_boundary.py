@@ -11,7 +11,7 @@ from qwblock.boundary import (BoundaryCache, _cached_build, alpha1,
                               phi2, theta1, theta2)
 from qwblock.errors import KernelZeroOnCut, NonVanishingPhase
 from qwblock.kernel import Side, branch_points, kernel_value, x_roots
-from qwblock.quadrature import QuadConfig
+from qwblock.quadrature import QuadConfig, cosine_grid
 
 from conftest import BASE, CASES, OVERLOAD2
 
@@ -78,6 +78,15 @@ def test_phi1_exponent_matches_frozen_grid512(name):
     np.testing.assert_array_equal(cache.y_nodes[::stride], frozen["y"])
     np.testing.assert_allclose(cache.exp_neg_phi1[::stride],
                                frozen["exp_neg_phi1"], rtol=1e-10, atol=0)
+
+
+def test_phi1_exponent_rejects_outside_cut():
+    bp = branch_points(BASE)
+    nodes, weights = cosine_grid(bp.y1, bp.y2, 16)
+    g = theta1(BASE, nodes) / nodes
+    phi1_exponent(BASE, bp, nodes, weights, g)
+    with pytest.raises(ValueError):
+        phi1_exponent(BASE, bp, nodes + 0.5, weights, g)
 
 
 def test_phi1_exponent_guards_the_cut():
