@@ -23,7 +23,7 @@ import numpy as np
 from .errors import KernelZeroOnCut, NonVanishingPhase
 from .kernel import BranchPoints, branch_points, kernel_value, y_roots
 from .model import ModelParams
-from .quadrature import QuadConfig, cosine_grid, cut_hilbert
+from .quadrature import QuadConfig, blocks, cosine_grid, cut_hilbert
 
 
 def theta1(params: ModelParams, y):
@@ -100,7 +100,10 @@ def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
               + 2.0 * params.lambda1 <= 0.0):
         raise NonVanishingPhase(
             f"Theta1 tends to pi at an end of [{bp.y1}, {bp.y2}]")
-    regular = (1.0 / (mu2 * np.outer(nodes, nodes) - lam2)) @ (weights * g)
+    regular = np.empty(nodes.size)
+    for rows in blocks(nodes.size, nodes.size):
+        regular[rows] = ((1.0 / (np.outer(mu2 * nodes[rows], nodes) - lam2))
+                         @ (weights * g))
     return (nodes / (math.pi * (mu2 * nodes * nodes - lam2))
             * (cut_hilbert(g) - mu2 * nodes * regular))
 
@@ -150,19 +153,22 @@ class BoundaryCache:
         return value if value is not None else float(self.phi1_many([x])[0])
 
     def phi1_many(self, xs) -> np.ndarray:
-        """phi1 at each x; the memo misses are tabulated in one matrix."""
+        """phi1 at each x; the memo misses are tabulated in row blocks."""
         xs = [float(x) for x in xs]
         misses = np.array([x for x in dict.fromkeys(xs)
                            if x not in self._phi1_memo])
         if misses.size:
             p = self.params
-            kern = kernel_value(p, misses[:, None], self.y_nodes[None, :])
-            scale = p.rate_sum * np.maximum(1.0, np.abs(misses)) ** 2
-            bad = np.min(np.abs(kern), axis=1) < 1e-12 * scale
-            if bad.any():
-                raise KernelZeroOnCut(
-                    f"K({misses[bad][0]}, y) vanishes on the cut [y1, y2]")
-            total = np.sum(self.phi1_weights / kern, axis=1)
+            total = np.empty(misses.size)
+            for rows in blocks(misses.size, self.y_nodes.size):
+                x = misses[rows]
+                kern = kernel_value(p, x[:, None], self.y_nodes[None, :])
+                scale = p.rate_sum * np.maximum(1.0, np.abs(x)) ** 2
+                bad = np.min(np.abs(kern), axis=1) < 1e-12 * scale
+                if bad.any():
+                    raise KernelZeroOnCut(
+                        f"K({x[bad][0]}, y) vanishes on the cut [y1, y2]")
+                total[rows] = np.sum(self.phi1_weights / kern, axis=1)
             self._phi1_memo.update(zip(
                 misses.tolist(), np.exp(misses / math.pi * total).tolist()))
         return np.array([self._phi1_memo[x] for x in xs])

@@ -50,15 +50,11 @@ def _stationary_from_transitions(n_states: int, rows, cols, rates,
     distribution so the solved ratios stay within floating-point range.
     Returns (pi, residual) with residual the max balance violation.
     """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    rates = np.asarray(rates, dtype=float)
     if pin != 0:
         # relabel so the pinned state is index 0
         swap = np.arange(n_states)
         swap[0], swap[pin] = pin, 0
-        rows = swap[rows]
-        cols = swap[cols]
+        rows, cols = swap[rows], swap[cols]
     out_rate = np.zeros(n_states)
     np.add.at(out_rate, rows, rates)
     q = scipy.sparse.coo_matrix(
@@ -79,6 +75,28 @@ def _stationary_from_transitions(n_states: int, rows, cols, rates,
     if pin != 0:
         pi[[0, pin]] = pi[[pin, 0]]
     return pi, residual
+
+
+def _box_chain(side1: int, side2: int, moves, pin=(0, 0)):
+    """Stationary vector of a chain on the box {0..side1} x {0..side2}.
+
+    ``moves(n1, n2)`` lists (mask, delta1, delta2, rate) per kind of
+    transition, rate a scalar or an array over the states.  ``pin`` is
+    the state pinned in the solve.  Returns (probs on the box, residual).
+    """
+    w = side2 + 1
+    n1, n2 = (g.ravel() for g in np.meshgrid(
+        np.arange(side1 + 1), np.arange(w), indexing="ij"))
+    idx = n1 * w + n2
+    rows, cols, rates = [], [], []
+    for mask, delta1, delta2, rate in moves(n1, n2):
+        rows.append(idx[mask])
+        cols.append(idx[mask] + delta1 * w + delta2)
+        rates.append(np.broadcast_to(rate, mask.shape)[mask])
+    pi, residual = _stationary_from_transitions(
+        idx.size, np.concatenate(rows), np.concatenate(cols),
+        np.concatenate(rates), pin=pin[0] * w + pin[1])
+    return pi.reshape(side1 + 1, w), residual
 
 
 def default_box(params: ModelParams, safety: float = 20.0) -> tuple[int, int]:
@@ -109,36 +127,15 @@ def solve_limiting_walk(params: ModelParams,
     """
     validate(params)
     n1_max, n2_max = box
-    w = n2_max + 1
-    n_states = (n1_max + 1) * w
 
-    n1, n2 = np.meshgrid(np.arange(n1_max + 1), np.arange(n2_max + 1),
-                         indexing="ij")
-    n1 = n1.ravel()
-    n2 = n2.ravel()
-    idx = n1 * w + n2
+    def moves(n1, n2):
+        down = params.lambda2 + params.lambda1 * ((n1 == 0) & (n2 > params.a))
+        return [(n1 < n1_max, +1, 0, params.mu1c1),
+                (n2 < n2_max, 0, +1, params.mu2c2),
+                (n1 > 0, -1, 0, params.lambda1),
+                (n2 > 0, 0, -1, down)]
 
-    rows, cols, rates = [], [], []
-
-    def add(mask, delta1, delta2, rate):
-        rows.append(idx[mask])
-        cols.append(idx[mask] + delta1 * w + delta2)
-        r = rate[mask] if isinstance(rate, np.ndarray) else np.full(mask.sum(), rate)
-        rates.append(r)
-
-    add(n1 < n1_max, +1, 0, params.mu1c1)
-    add(n2 < n2_max, 0, +1, params.mu2c2)
-    add(n1 > 0, -1, 0, params.lambda1)
-    down = np.where(n2 > 0,
-                    params.lambda2
-                    + params.lambda1 * ((n1 == 0) & (n2 > params.a)),
-                    0.0)
-    add(n2 > 0, 0, -1, down)
-
-    pi, residual = _stationary_from_transitions(
-        n_states,
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(rates))
-    probs = pi.reshape(n1_max + 1, w)
+    probs, residual = _box_chain(n1_max, n2_max, moves)
     boundary_mass = float(probs[-1, :].sum() + probs[:, -1].sum()
                           - probs[-1, -1])
     if boundary_mass > 1e-4:
@@ -181,39 +178,19 @@ def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
     if n_states > 4_000_000:
         raise StateSpaceTooLarge(f"{n_states} states exceeds 4e6")
 
-    w = cap2 + 1
-    m1, m2 = np.meshgrid(np.arange(cap1 + 1), np.arange(cap2 + 1),
-                         indexing="ij")
-    m1 = m1.ravel()
-    m2 = m2.ravel()
-    idx = m1 * w + m2
+    big1, big2 = nu * lambda1, nu * lambda2
 
-    big1 = nu * lambda1
-    big2 = nu * lambda2
-
-    rows, cols, rates = [], [], []
-
-    def add(mask, delta1, delta2, rate):
-        rows.append(idx[mask])
-        cols.append(idx[mask] + delta1 * w + delta2)
-        r = rate[mask] if isinstance(rate, np.ndarray) else np.full(mask.sum(), rate)
-        rates.append(r)
-
-    add(m1 < cap1, +1, 0, big1)
-    up = big2 * (m2 < cap2) + big1 * ((m1 == cap1) & (m2 < cap2 - a))
-    add(m2 < cap2, 0, +1, up)
-    add(m1 > 0, -1, 0, mu1 * m1.astype(float))
-    add(m2 > 0, 0, -1, mu2 * m2.astype(float))
+    def moves(m1, m2):
+        up = big2 * (m2 < cap2) + big1 * ((m1 == cap1) & (m2 < cap2 - a))
+        return [(m1 < cap1, +1, 0, big1),
+                (m2 < cap2, 0, +1, up),
+                (m1 > 0, -1, 0, mu1 * m1.astype(float)),
+                (m2 > 0, 0, -1, mu2 * m2.astype(float))]
 
     # pin near the mode of the independent Erlang product to avoid
     # overflow in the solved probability ratios
-    mode1 = min(cap1, int(big1 / mu1))
-    mode2 = min(cap2, int(big2 / mu2))
-    pi, _ = _stationary_from_transitions(
-        n_states,
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(rates),
-        pin=int(mode1 * w + mode2))
-    probs = pi.reshape(cap1 + 1, w)
+    probs, _ = _box_chain(cap1, cap2, moves, pin=(min(cap1, int(big1 / mu1)),
+                                                  min(cap2, int(big2 / mu2))))
     b1 = float(probs[cap1, max(cap2 - a, 0):].sum())
     b2 = float(probs[:, cap2].sum())
     return BlockingPair(b1, b2)

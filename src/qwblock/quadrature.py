@@ -15,6 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Grid-sized tabulations run in blocks of this many float64 (128 KiB), which
+# stay in cache and in the allocator's free lists; whole-matrix temporaries
+# went back to the system and were page-faulted in again by every solve.
+BLOCK_ELEMENTS = 16384
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Grid size shared across the pipeline."""
@@ -63,3 +69,9 @@ def cut_hilbert(g: np.ndarray) -> np.ndarray:
     spectrum = np.zeros(2 * n, dtype=complex)
     spectrum[1:n + 1] = coef * twist
     return -math.pi * np.real(np.fft.fft(spectrum)[:n])[::-1]
+
+
+def blocks(n: int, width: int) -> list[slice]:
+    """Slices covering range(n), each about BLOCK_ELEMENTS / width long."""
+    step = max(1, BLOCK_ELEMENTS // width)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]

@@ -20,7 +20,7 @@ from .boundary import BoundaryCache, boundary_cache, phi2
 from .errors import KernelZeroOnCut, NegativeProbability, SingularSystem
 from .kernel import branch_points, kernel_value, x_of_theta
 from .model import BlockingPair, ModelParams, isolated_limits, validate
-from .quadrature import QuadConfig, cosine_grid
+from .quadrature import QuadConfig, blocks, cosine_grid
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class CoefficientMatrix:
 
     alpha: np.ndarray       # (a, a+1)
     beta: np.ndarray        # (a,)
-    r2_powers: np.ndarray   # r2**n, n = 0..a-1
 
 
 @dataclass
@@ -100,49 +99,47 @@ def assemble(params: ModelParams, cache: BoundaryCache,
     a = p.a
     if a < 1:
         raise ValueError("assemble requires a >= 1")
-    bp = cache.bp
     n_t = cfg.grid_size
     theta = np.linspace(0.0, math.pi, n_t + 1)
     w_t = np.full(n_t + 1, math.pi / n_t)
-    w_t[0] *= 0.5
-    w_t[-1] *= 0.5
+    w_t[[0, -1]] *= 0.5
 
     x_t = np.asarray(x_of_theta(p, theta))
     phi1_t = cache.phi1_many(x_t)
     denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
-    root22 = math.sqrt(p.mu2c2 * p.lambda2)
-    r2 = bp.r2
+    cos_t = np.cos(theta)
+    r2 = cache.bp.r2
 
-    # inner integrals J_k(theta_j), shape (a+1, n_t+1)
+    # theta weights of alpha1 and beta, and of alpha2 relative to their
+    # common 2*mu2c2/pi^2; sin((k-1)t) = 2cos(t)sin(kt) - sin((k+1)t)
+    # leaves alpha2 two sines, u*sin(k theta) + v*sin((k+1) theta)
+    outer1 = w_t * x_t * phi1_t / denom_t * np.sin(theta)
+    outer2 = math.pi * w_t * x_t / ((1.0 - x_t) * denom_t)
+    u_t = outer2 * (r2 * r2 + x_t - 2.0 * r2 * cos_t)
+    v_t = outer2 * r2 * (1.0 - x_t)
+    r2_pow = (r2 ** (np.arange(a + 1) - 1.0))[:, None]
+
+    # inner integrals J_k(theta) = sum_y base y^(k-1) / D(y, theta)
     y = cache.y_nodes
     base = (cache.y_weights * (p.lambda2 - p.mu2c2 * y * y)
             * cache.sin_theta1 * cache.exp_neg_phi1)
-    denom_j = (p.mu2c2 * y[:, None] ** 2 + p.lambda2
-               - 2.0 * y[:, None] * root22 * np.cos(theta)[None, :])
-    y_pow = y[None, :] ** (np.arange(a + 1)[:, None] - 1)      # (a+1, ny)
-    jk = (y_pow * base[None, :]) @ (1.0 / denom_j)             # (a+1, n_t+1)
+    y_base = y ** (np.arange(a + 1)[:, None] - 1) * base       # (a+1, ny)
+    quad_y = (p.mu2c2 * y * y + p.lambda2)[:, None]
+    cross_y = (2.0 * math.sqrt(p.mu2c2 * p.lambda2) * y)[:, None]
+    # sin(k theta_j) = sin(pi (k j mod 2 n_t) / n_t), from one table
+    sin_table = np.sin(np.arange(2 * n_t) * (math.pi / n_t))
+    ks, nodes = np.arange(a + 2)[:, None], np.arange(n_t + 1)
 
-    ns = np.arange(a)
-    sin_np1 = np.sin(np.outer(ns + 1, theta))                  # (a, n_t+1)
-
-    outer1 = w_t * x_t * phi1_t / denom_t * np.sin(theta)
-    alpha_1 = (2.0 * p.mu2c2 / math.pi ** 2) * sin_np1 @ (outer1[None, :] * jk).T
-
-    ks = np.arange(a + 1)
-    sin_k = np.sin(np.outer(ks, theta))
-    jk_small = ((r2 * r2 + x_t) * sin_k
-                - x_t * r2 * np.sin(np.outer(ks + 1, theta))
-                - r2 * np.sin(np.outer(ks - 1, theta)))
-    jk_small /= ((1.0 - x_t) * denom_t)[None, :]
-    outer2 = w_t * x_t
-    alpha_2 = ((2.0 * p.mu2c2 / math.pi) * r2 ** (ks - 1.0)[None, :]
-               * (sin_np1 @ (outer2[None, :] * jk_small).T))
-
-    beta = (2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)) \
-        * sin_np1 @ (w_t * phi1_t * x_t / denom_t * np.sin(theta))
-
-    return CoefficientMatrix(alpha=alpha_1 + alpha_2, beta=beta,
-                             r2_powers=r2 ** ns.astype(float))
+    alpha, beta = np.zeros((a, a + 1)), np.zeros(a)
+    for cols in blocks(n_t + 1, y.size):
+        sin_k = sin_table[ks * nodes[cols] % (2 * n_t)]      # k = 0..a+1
+        jk = y_base @ (1.0 / (quad_y - cross_y * cos_t[cols]))
+        alpha += sin_k[1:a + 1] @ (outer1[cols] * jk + r2_pow * (
+            u_t[cols] * sin_k[:a + 1] + v_t[cols] * sin_k[1:])).T
+        beta += sin_k[1:a + 1] @ outer1[cols]
+    alpha *= 2.0 * p.mu2c2 / math.pi ** 2
+    beta *= 2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)
+    return CoefficientMatrix(alpha=alpha, beta=beta)
 
 
 def eval_P1(params: ModelParams, cache: BoundaryCache,
@@ -212,6 +209,15 @@ def eval_P2(params: ModelParams, cache: BoundaryCache,
     return float(np.real(total))
 
 
+def cond_lower_bound(mat: np.ndarray) -> float:
+    """Largest over smallest row or column norm: sigma_max is at least the
+    one and sigma_min at most the other, so this never exceeds cond(mat)."""
+    scaled = mat / np.max(np.abs(mat))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return max(float(np.max(n) / np.min(n)) for n in (
+            np.linalg.norm(scaled, axis=0), np.linalg.norm(scaled, axis=1)))
+
+
 def solve_boundary(params: ModelParams,
                    cfg: QuadConfig | None = None,
                    cache: BoundaryCache | None = None) -> BoundaryVector:
@@ -230,13 +236,15 @@ def solve_boundary(params: ModelParams,
         cond = 1.0
     else:
         cm = assemble(params, cache, cfg)
-        mat = np.zeros((a, a))
-        mat[np.arange(a), np.arange(a)] = cm.r2_powers
-        mat -= cm.alpha[:, 1:]
+        mat = (np.diag(cache.bp.r2 ** np.arange(a, dtype=float))
+               - cm.alpha[:, 1:])
         rhs = cm.beta + cm.alpha[:, 0]
-        cond = float(np.linalg.cond(mat))
+        # the norm bound refuses most ill-posed systems without an SVD
+        cond = cond_lower_bound(mat)
+        if not cond > 1e12:
+            cond = float(np.linalg.cond(mat))
         if cond > 1e12:
-            raise SingularSystem(f"condition estimate {cond:.3e}")
+            raise SingularSystem(f"condition number at least {cond:.3e}")
         u = scipy.linalg.solve(mat, rhs)
         unscaled = np.concatenate([[1.0], u])
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qwblock.quadrature import QuadConfig, cosine_grid, cut_hilbert
+from qwblock.quadrature import (BLOCK_ELEMENTS, QuadConfig, blocks,
+                                cosine_grid, cut_hilbert)
 
 
 def test_config_validation():
@@ -15,6 +16,15 @@ def test_config_validation():
 
 def test_config_with_grid():
     assert QuadConfig().with_grid(64) == QuadConfig(grid_size=64)
+
+
+@pytest.mark.parametrize("n, width", [(0, 512), (1, 512), (513, 512),
+                                      (513, 1), (7, 10 ** 6)])
+def test_blocks_cover_range(n, width):
+    parts = blocks(n, width)
+    assert [i for s in parts for i in range(n)[s]] == list(range(n))
+    assert all(len(range(n)[s]) * width <= max(BLOCK_ELEMENTS, width)
+               for s in parts)
 
 
 @pytest.mark.parametrize("f, a, b, exact", [

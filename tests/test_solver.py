@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from qwblock.boundary import boundary_cache
+from qwblock.errors import SingularSystem
+from qwblock.kernel import x_of_theta
 from qwblock.model import ModelParams
 from qwblock.quadrature import QuadConfig
 from qwblock.solver import (BoundaryVector, assemble, baseline_a0, blocking,
-                            blocking_with_estimate, eval_P1, eval_P2,
-                            solve_boundary)
+                            blocking_with_estimate, cond_lower_bound, eval_P1,
+                            eval_P2, solve_boundary)
 
 from conftest import BASE, OVERLOAD2, UNDERLOAD2
 
@@ -171,3 +175,71 @@ def test_near_critical_set_solves():
     assert rep.normalization_residual < 1e-12
     fine = blocking(p, QuadConfig(grid_size=1024)).blocking
     np.testing.assert_allclose(tuple(fine), tuple(inf), rtol=0, atol=1e-7)
+
+
+def _dense_coefficients(p, cache, n_t):
+    """alpha and beta of assemble as whole (k, theta) matrices: np.sin of
+    every k*theta, y**(k-1), and alpha2 with its three sines."""
+    a, r2 = p.a, cache.bp.r2
+    theta = np.linspace(0.0, math.pi, n_t + 1)
+    w_t = np.full(n_t + 1, math.pi / n_t)
+    w_t[[0, -1]] *= 0.5
+    x_t = np.asarray(x_of_theta(p, theta))
+    phi1_t = cache.phi1_many(x_t)
+    denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
+    y = cache.y_nodes
+    base = (cache.y_weights * (p.lambda2 - p.mu2c2 * y * y)
+            * cache.sin_theta1 * cache.exp_neg_phi1)
+    denom_j = (p.mu2c2 * y[:, None] ** 2 + p.lambda2 - 2.0 * y[:, None]
+               * math.sqrt(p.mu2c2 * p.lambda2) * np.cos(theta)[None, :])
+    ks = np.arange(a + 1)
+    jk = (y[None, :] ** (ks[:, None] - 1) * base) @ (1.0 / denom_j)
+    sin_np1 = np.sin(np.outer(ks[1:], theta))
+    outer1 = w_t * x_t * phi1_t / denom_t * np.sin(theta)
+    alpha1 = 2.0 * p.mu2c2 / math.pi ** 2 * sin_np1 @ (outer1 * jk).T
+    jk_small = ((r2 * r2 + x_t) * np.sin(np.outer(ks, theta))
+                - x_t * r2 * np.sin(np.outer(ks + 1, theta))
+                - r2 * np.sin(np.outer(ks - 1, theta))) / ((1.0 - x_t) * denom_t)
+    alpha2 = (2.0 * p.mu2c2 / math.pi * r2 ** (ks - 1.0)
+              * (sin_np1 @ (w_t * x_t * jk_small).T))
+    beta = (2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)) * sin_np1 @ outer1
+    return alpha1 + alpha2, beta
+
+
+@pytest.mark.parametrize("params", [BASE.with_a(3), UNDERLOAD2.with_a(40),
+                                    OVERLOAD2.with_a(10)])
+def test_assemble_matches_dense_sums(params):
+    cache = boundary_cache(params, CFG)
+    cm = assemble(params, cache, CFG)
+    alpha, beta = _dense_coefficients(params, cache, CFG.grid_size)
+    # columns k scale like r2^(k-1); compare each against its own size
+    assert np.all(np.abs(cm.alpha - alpha)
+                  <= 1e-12 * np.max(np.abs(alpha), axis=0))
+    np.testing.assert_allclose(cm.beta, beta, rtol=0,
+                               atol=1e-12 * np.max(np.abs(beta)))
+
+
+def test_cond_lower_bound_never_exceeds_cond():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 30):
+        for _ in range(20):
+            mat = (rng.standard_normal((n, n))
+                   * 10.0 ** rng.uniform(-8, 8, n)[:, None]
+                   * 10.0 ** rng.uniform(-8, 8, n)[None, :])
+            assert cond_lower_bound(mat) <= np.linalg.cond(mat) * (1 + 1e-12)
+    diag = np.diag(2.0 ** np.arange(60))
+    assert cond_lower_bound(diag) == pytest.approx(np.linalg.cond(diag))
+    assert cond_lower_bound(np.zeros((3, 3)) + np.eye(3)[0]) == math.inf
+
+
+def test_ill_conditioned_systems_are_refused():
+    # condition number about 3e55: the norm bound refuses it before the SVD
+    far = ModelParams(9.063560847309095, 0.7906048388187585,
+                      0.7417356794378775, 5.643418491538218, a=97)
+    # about 4e12, with a norm ratio near 2e6: only the SVD refuses it
+    near = ModelParams(6.284975842331384, 7.429301713066076,
+                       4.145051512455379, 8.641016705294073, a=189)
+    with pytest.raises(SingularSystem, match="condition number"):
+        solve_boundary(far)
+    with pytest.raises(SingularSystem, match="condition number"):
+        solve_boundary(near)
