@@ -21,9 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import KernelZeroOnCut, NonVanishingPhase
-from .kernel import BranchPoints, branch_points, kernel_value, y_roots
+from .kernel import (BranchPoints, branch_points, discriminants, kernel_value,
+                     x_of_theta, y_roots)
 from .model import ModelParams
 from .quadrature import QuadConfig, blocks, cosine_grid, cut_hilbert
+
+WINDING_POINTS = 2000    # circle nodes of alpha1_winding
 
 
 def theta1(params: ModelParams, y):
@@ -44,8 +47,7 @@ def theta2(params: ModelParams, x):
     """Baseline boundary angle Theta2(x) in [0, pi] for x in [x1, x2]."""
     x = np.asarray(x, dtype=float)
     s = params.rate_sum
-    q2 = params.mu1c1 * x * x - s * x + params.lambda1
-    d2 = q2 * q2 - 4.0 * params.mu2c2 * params.lambda2 * x * x
+    _, d2 = discriminants(params, x)
     if np.any(d2 > 1e-9 * s * s):
         raise ValueError("x outside the cut [x1, x2]: Delta2(x) > 0")
     num = np.sqrt(np.maximum(-d2, 0.0))
@@ -63,17 +65,16 @@ def alpha1(params: ModelParams, x, bp: BranchPoints | None = None):
             / (x * (params.mu1c1 * x * y0 - params.lambda1)))
 
 
-def alpha1_winding(params: ModelParams, n_points: int = 2000) -> int:
+def alpha1_winding(params: ModelParams) -> int:
     """Winding number of alpha1 around the circle of radius r1.
 
-    Sums phase increments over a uniform circle grid and rounds; the
-    analytic theory gives index 0, which downstream solutions assume.
+    Sums phase increments over a uniform circle grid of WINDING_POINTS
+    and rounds; the analytic theory gives index 0, which downstream
+    solutions assume.
     """
     bp = branch_points(params)
-    th = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    z = bp.r1 * np.exp(1j * th)
-    vals = np.array([alpha1(params, zz, bp) for zz in z])
-    args = np.angle(vals)
+    th = np.linspace(0.0, 2.0 * math.pi, WINDING_POINTS, endpoint=False)
+    args = np.angle(alpha1(params, bp.r1 * np.exp(1j * th), bp))
     dargs = np.diff(np.concatenate([args, args[:1]]))
     dargs = (dargs + math.pi) % (2.0 * math.pi) - math.pi
     return round(float(dargs.sum() / (2.0 * math.pi)))
@@ -108,26 +109,45 @@ def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
             * (cut_hilbert(g) - mu2 * nodes * regular))
 
 
-@dataclass
+def _phi1_values(params: ModelParams, y_nodes: np.ndarray,
+                 phi1_weights: np.ndarray, xs) -> np.ndarray:
+    """phi1 at each x, tabulated in row blocks of the (x, y) kernel matrix;
+    raises KernelZeroOnCut if K(x, .) nearly vanishes on a node."""
+    xs = np.array(xs, dtype=float)
+    total = np.empty(xs.size)
+    for rows in blocks(xs.size, y_nodes.size):
+        x = xs[rows]
+        kern = kernel_value(params, x[:, None], y_nodes[None, :])
+        scale = params.rate_sum * np.maximum(1.0, np.abs(x)) ** 2
+        bad = np.min(np.abs(kern), axis=1) < 1e-12 * scale
+        if bad.any():
+            raise KernelZeroOnCut(
+                f"K({x[bad][0]}, y) vanishes on the cut [y1, y2]")
+        total[rows] = np.sum(phi1_weights / kern, axis=1)
+    return np.exp(xs / math.pi * total)
+
+
+@dataclass(frozen=True, eq=False)
 class BoundaryCache:
     """Tabulated boundary data on a shared cosine grid over [y1, y2].
 
-    Immutable after construction; every downstream integral against the
-    sin(Theta1)*exp(-Phi1) weight reuses these arrays, so the coefficient
-    assembly touches each node once.  phi1_weights is y_weights times g of
-    :func:`phi1_exponent`, the integrand numerator of log phi1.
+    Every downstream integral against the sin(Theta1)*exp(-Phi1) weight
+    reuses these arrays.  phi1_weights is y_weights times g of
+    :func:`phi1_exponent`, the integrand numerator of log phi1.  x_theta
+    and phi1_theta hold x(theta) and phi1 on the coefficient assembly's
+    grid theta = pi*j/n, j = 0..n.
     """
 
     params: ModelParams
     bp: BranchPoints
-    grid_size: int
     cfg: QuadConfig
     y_nodes: np.ndarray = field(repr=False)
     y_weights: np.ndarray = field(repr=False)
     sin_theta1: np.ndarray = field(repr=False)
     exp_neg_phi1: np.ndarray = field(repr=False)
     phi1_weights: np.ndarray = field(repr=False)
-    _phi1_memo: dict = field(default_factory=dict, repr=False)
+    x_theta: np.ndarray = field(repr=False)
+    phi1_theta: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, params: ModelParams,
@@ -138,40 +158,26 @@ class BoundaryCache:
         th1 = theta1(params, nodes)
         g = (params.lambda2 - params.mu2c2 * nodes ** 2) * th1 / nodes
         phi_big = phi1_exponent(params, bp, nodes, weights, g)
-        return cls(params=params, bp=bp, grid_size=cfg.grid_size, cfg=cfg,
-                   y_nodes=nodes, y_weights=weights,
-                   sin_theta1=np.sin(th1), exp_neg_phi1=np.exp(-phi_big),
-                   phi1_weights=weights * g)
+        phi1_weights = weights * g
+        x_theta = x_of_theta(
+            params, np.linspace(0.0, math.pi, cfg.grid_size + 1))
+        return cls(params=params, bp=bp, cfg=cfg, y_nodes=nodes,
+                   y_weights=weights, sin_theta1=np.sin(th1),
+                   exp_neg_phi1=np.exp(-phi_big), phi1_weights=phi1_weights,
+                   x_theta=x_theta, phi1_theta=_phi1_values(
+                       params, nodes, phi1_weights, x_theta))
 
-    def phi1(self, x):
+    def phi1(self, x) -> float:
         """The sectionally analytic factor phi1(x), |x| < r1.
 
         Real and positive for real x off the poles of the integrand;
         phi1(0) = 1.
         """
-        value = self._phi1_memo.get(x)
-        return value if value is not None else float(self.phi1_many([x])[0])
+        return float(self.phi1_many([x])[0])
 
     def phi1_many(self, xs) -> np.ndarray:
-        """phi1 at each x; the memo misses are tabulated in row blocks."""
-        xs = [float(x) for x in xs]
-        misses = np.array([x for x in dict.fromkeys(xs)
-                           if x not in self._phi1_memo])
-        if misses.size:
-            p = self.params
-            total = np.empty(misses.size)
-            for rows in blocks(misses.size, self.y_nodes.size):
-                x = misses[rows]
-                kern = kernel_value(p, x[:, None], self.y_nodes[None, :])
-                scale = p.rate_sum * np.maximum(1.0, np.abs(x)) ** 2
-                bad = np.min(np.abs(kern), axis=1) < 1e-12 * scale
-                if bad.any():
-                    raise KernelZeroOnCut(
-                        f"K({x[bad][0]}, y) vanishes on the cut [y1, y2]")
-                total[rows] = np.sum(self.phi1_weights / kern, axis=1)
-            self._phi1_memo.update(zip(
-                misses.tolist(), np.exp(misses / math.pi * total).tolist()))
-        return np.array([self._phi1_memo[x] for x in xs])
+        """phi1 at each x; KernelZeroOnCut if K(x, .) vanishes on the cut."""
+        return _phi1_values(self.params, self.y_nodes, self.phi1_weights, xs)
 
 
 @functools.lru_cache(maxsize=32)

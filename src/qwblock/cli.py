@@ -20,7 +20,8 @@ import sys
 
 from . import __version__
 from .errors import QwblockError
-from .model import ModelParams, isolated_limits, params_from_json, validate
+from .model import (CONFIG_KEYS, ModelParams, isolated_limits,
+                    params_from_json, read_config, validate)
 from .oracle import (default_box, blocking_from_distribution, solve_limiting_walk,
                      solve_prelimit)
 from .quadrature import QuadConfig
@@ -116,16 +117,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_prelimit(args) -> int:
-    keys = ("lambda1", "lambda2", "mu1", "mu2", "c1", "c2")
-    doc = vars(args)
-    if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    missing = [k for k in keys if doc.get(k) is None]
+    doc = read_config(args.config) if args.config else vars(args)
+    missing = [k for k in CONFIG_KEYS if doc.get(k) is None]
     if missing:
         raise QwblockError(f"missing {', '.join(missing)} (flags or --config)")
-    a = int(doc.get("a") or 0) if args.a is None else args.a
-    pair = solve_prelimit(*(float(doc[k]) for k in keys), a, args.nu)
+    a = (doc.get("a") or 0) if args.a is None else args.a
+    pair = solve_prelimit(*(float(doc[k]) for k in CONFIG_KEYS), a, args.nu)
     _emit(args, json.dumps({"nu": args.nu, "B1": pair.b1, "B2": pair.b2},
                            indent=2, sort_keys=True) + "\n")
     return 0

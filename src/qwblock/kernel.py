@@ -2,8 +2,8 @@
 
 Everything here is closed form: the bivariate kernel K(x, y), its two
 discriminants, the four-plus-four real branch points, the algebraic root
-functions X0/X1 and Y0/Y1 with deterministic branch tracking, the
-theta-parametrization of the cut [x1, x2], and Chebyshev polynomials of
+functions X0/X1 and Y0/Y1 (one vectorized implementation behind both),
+the theta-parametrization of the cut [x1, x2], and Chebyshev polynomials of
 the second kind.
 
 Branch convention: sigma1 (the square root of the first discriminant) is
@@ -15,7 +15,6 @@ an explicit :class:`Side`, implemented via signed-zero imaginary parts.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -119,62 +118,53 @@ def branch_points(params: ModelParams) -> BranchPoints:
     )
 
 
-def _on_cut(z, lo: float, hi: float) -> bool:
-    return abs(z.imag) < _CUT_TOL and lo - _CUT_TOL < z.real < hi + _CUT_TOL
+def _root_pair(z, cuts, side: Side | None, quad: float, const: float,
+               lead: float, lam: float, s: float):
+    """Both roots R of lead*z*R^2 + q*R + lam*z, q = quad*z^2 - s*z + const.
 
-
-def _cut_point(z, lo, hi, lo2, hi2, side: Side | None):
-    """Attach a signed-zero imaginary part when z sits on a cut."""
-    z = complex(z)
-    if _on_cut(z, lo, hi) or _on_cut(z, lo2, hi2):
-        if side is None:
-            raise OnCut(f"{z} lies on a branch cut; specify side=Side.ABOVE/BELOW")
-        return complex(z.real, side.value * 0.0)
-    return z
-
-
-def _sqrt_prod(z, roots, scale: float):
-    """scale * prod sqrt(z - r) with principal square roots.
-
-    Analytic off the cuts; signed zeros in z.imag select the one-sided
-    limit on a cut.
+    R0 = (-q + quad * prod sqrt(z - cuts))/(2*lead*z), R1 = lam/(lead*R0),
+    and (0, inf) at z = 0.  Vectorized; on a cut z takes a signed-zero
+    imaginary part from ``side``, which numpy's complex sqrt honours.
     """
-    acc = complex(scale)
-    for r in roots:
-        acc *= cmath.sqrt(complex(z.real - r, z.imag))
-    return acc
+    z = np.array(z, dtype=complex)
+    c1, c2, c3, c4 = cuts
+    on_cut = (np.abs(z.imag) < _CUT_TOL) & (
+        ((c1 - _CUT_TOL < z.real) & (z.real < c2 + _CUT_TOL))
+        | ((c3 - _CUT_TOL < z.real) & (z.real < c4 + _CUT_TOL)))
+    if on_cut.any():
+        if side is None:
+            raise OnCut(f"{z[on_cut][0]} lies on a branch cut; "
+                        "specify side=Side.ABOVE/BELOW")
+        z.imag[on_cut] = side.value * 0.0
+    q = quad * z * z - s * z + const
+    sigma = np.full(z.shape, quad, dtype=complex)
+    for c in cuts:
+        sigma = sigma * np.sqrt(z - c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r0 = (-q + sigma) / (2.0 * lead * z)
+        r1 = lam / (lead * r0)
+    origin = z == 0
+    return np.where(origin, 0j, r0)[()], np.where(origin, math.inf, r1)[()]
 
 
 def x_roots(params: ModelParams, y, bp: BranchPoints | None = None,
             side: Side | None = None):
     """The two x-roots (X0, X1) of K(., y), X0 vanishing at the origin.
 
-    For y on the cut [y1, y2] (or [y3, y4]) the one-sided limit must be
-    requested through ``side``.
+    Vectorized over y.  For y on the cut [y1, y2] (or [y3, y4]) the
+    one-sided limit must be requested through ``side``.
     """
-    bp = bp or branch_points(params)
-    y = _cut_point(y, bp.y1, bp.y2, bp.y3, bp.y4, side)
-    if y == 0:
-        return 0j, complex(math.inf)
-    s = params.rate_sum
-    q1 = params.mu2c2 * y * y - s * y + params.lambda2
-    sigma1 = _sqrt_prod(y, (bp.y1, bp.y2, bp.y3, bp.y4), params.mu2c2)
-    x0 = (-q1 + sigma1) / (2.0 * params.mu1c1 * y)
-    return x0, params.lambda1 / (params.mu1c1 * x0)
+    p, bp = params, bp or branch_points(params)
+    return _root_pair(y, (bp.y1, bp.y2, bp.y3, bp.y4), side, p.mu2c2,
+                      p.lambda2, p.mu1c1, p.lambda1, p.rate_sum)
 
 
 def y_roots(params: ModelParams, x, bp: BranchPoints | None = None,
             side: Side | None = None):
     """The two y-roots (Y0, Y1) of K(x, .), Y0 vanishing at the origin."""
-    bp = bp or branch_points(params)
-    x = _cut_point(x, bp.x1, bp.x2, bp.x3, bp.x4, side)
-    if x == 0:
-        return 0j, complex(math.inf)
-    s = params.rate_sum
-    q2 = params.mu1c1 * x * x - s * x + params.lambda1
-    sigma2 = _sqrt_prod(x, (bp.x1, bp.x2, bp.x3, bp.x4), params.mu1c1)
-    y0 = (-q2 + sigma2) / (2.0 * params.mu2c2 * x)
-    return y0, params.lambda2 / (params.mu2c2 * y0)
+    p, bp = params, bp or branch_points(params)
+    return _root_pair(x, (bp.x1, bp.x2, bp.x3, bp.x4), side, p.mu1c1,
+                      p.lambda1, p.mu2c2, p.lambda2, p.rate_sum)
 
 
 def x_of_theta(params: ModelParams, theta):

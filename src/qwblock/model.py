@@ -9,9 +9,10 @@ separately, takes them explicitly (see :mod:`qwblock.oracle`).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
-from .errors import NonPositiveRate, Unstable
+from .errors import NonPositiveRate, QwblockError, Unstable
 
 
 @dataclass(frozen=True)
@@ -95,25 +96,38 @@ def isolated_limits(params: ModelParams) -> BlockingPair:
     return BlockingPair(b1, b2)
 
 
-def params_from_dict(doc: dict) -> ModelParams:
-    """Build ModelParams from a config mapping with individual mu_i, c_i.
+CONFIG_KEYS = ("lambda1", "lambda2", "mu1", "mu2", "c1", "c2")
 
-    Expected keys: lambda1, lambda2, mu1, mu2, c1, c2, a.  The products
-    mu_i * c_i are formed here; the individual factors are not retained.
+
+def read_config(source) -> dict:
+    """CONFIG_KEYS as floats and a (default 0) as an int, from a config
+    mapping or from the JSON file at the path ``source``.
+
+    Raises QwblockError for an unreadable file, malformed JSON, a document
+    that is not an object, or a missing or non-numeric key.
     """
     try:
-        return ModelParams(
-            lambda1=float(doc["lambda1"]),
-            lambda2=float(doc["lambda2"]),
-            mu1c1=float(doc["mu1"]) * float(doc["c1"]),
-            mu2c2=float(doc["mu2"]) * float(doc["c2"]),
-            a=int(doc.get("a", 0)),
-        )
+        if isinstance(source, (str, os.PathLike)):
+            with open(source) as fh:
+                source = json.load(fh)
+        if not isinstance(source, dict):
+            raise QwblockError("the configuration is not a JSON object")
+        return {**{k: float(source[k]) for k in CONFIG_KEYS},
+                "a": int(source.get("a", 0))}
     except KeyError as exc:
-        raise KeyError(f"missing configuration key: {exc}") from exc
+        raise QwblockError(f"configuration key {exc} is missing") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise QwblockError(f"unusable configuration: {exc}") from exc
+
+
+def params_from_dict(doc: dict) -> ModelParams:
+    """ModelParams from a config mapping with individual mu_i, c_i; only
+    the products mu_i * c_i are retained."""
+    v = read_config(doc)
+    return ModelParams(v["lambda1"], v["lambda2"], v["mu1"] * v["c1"],
+                       v["mu2"] * v["c2"], v["a"])
 
 
 def params_from_json(path: str) -> ModelParams:
     """Load ModelParams from a JSON configuration file."""
-    with open(path) as fh:
-        return params_from_dict(json.load(fh))
+    return params_from_dict(read_config(path))

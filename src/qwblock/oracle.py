@@ -22,6 +22,8 @@ import scipy.sparse.linalg
 from .errors import BoxTooSmall, StateSpaceTooLarge
 from .model import BlockingPair, ModelParams, validate
 
+BOX_SAFETY = 20.0    # default_box gives each side ~BOX_SAFETY/(1-rho) states
+
 
 @dataclass
 class TruncatedDistribution:
@@ -99,11 +101,11 @@ def _box_chain(side1: int, side2: int, moves, pin=(0, 0)):
     return pi.reshape(side1 + 1, w), residual
 
 
-def default_box(params: ModelParams, safety: float = 20.0) -> tuple[int, int]:
+def default_box(params: ModelParams) -> tuple[int, int]:
     """Box sized from the per-axis geometric decay rates.
 
     n1 decays at rho1 = mu1c1/lambda1; n2 at mu2c2 over the effective
-    service lambda2 + lambda1*P(n1=0).  Each side gets ~safety/(1-rho)
+    service lambda2 + lambda1*P(n1=0).  Each side gets ~BOX_SAFETY/(1-rho)
     states, clipped to [60, 2500].
     """
     validate(params)
@@ -111,13 +113,14 @@ def default_box(params: ModelParams, safety: float = 20.0) -> tuple[int, int]:
     eff2 = params.lambda2 + params.lambda1 * (1.0 - rho1)
     rho2 = params.mu2c2 / eff2
     def side(rho):
-        return int(np.clip(math.ceil(safety / max(1.0 - rho, 1e-3)), 60, 2500))
+        n = math.ceil(BOX_SAFETY / max(1.0 - rho, 1e-3))
+        return int(np.clip(n, 60, 2500))
     return side(rho1), side(rho2) + params.a
 
 
 def solve_limiting_walk(params: ModelParams,
-                        box: tuple[int, int] = (400, 400),
-                        tol: float = 1e-12) -> TruncatedDistribution:
+                        box: tuple[int, int] = (400, 400)
+                        ) -> TruncatedDistribution:
     """Stationary distribution of the limiting walk on a truncated box.
 
     Outward transitions at the rim are suppressed (reflecting

@@ -11,16 +11,18 @@ so the rate conservation identity holds exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .boundary import BoundaryCache, boundary_cache, phi2
 from .errors import KernelZeroOnCut, NegativeProbability, SingularSystem
-from .kernel import branch_points, kernel_value, x_of_theta
+from .kernel import branch_points, kernel_value, x_roots
 from .model import BlockingPair, ModelParams, isolated_limits, validate
 from .quadrature import QuadConfig, blocks, cosine_grid
+
+CONTOUR_POINTS = 4096    # circle nodes of the P2 contour integral
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,7 @@ class BoundaryVector:
 
     p: np.ndarray
     seed_scale: float    # the normalization-determined p(0,0)
+    cond: float = 1.0    # 2-norm condition number; no system at a = 0
 
     @property
     def p00(self) -> float:
@@ -36,10 +39,7 @@ class BoundaryVector:
 
     def poly(self, y):
         """P2^-(y) = sum_n p(0,n) y^n (works for complex / array y)."""
-        acc = 0.0
-        for c in self.p[::-1]:
-            acc = acc * y + c
-        return acc
+        return np.polyval(self.p[::-1], y)
 
 
 @dataclass(frozen=True)
@@ -56,37 +56,23 @@ class BlockingReport:
     p00: float
     boundary: BoundaryVector
     baseline_inf: BlockingPair
-    baseline_a0: BlockingPair | None
+    baseline_a0: BlockingPair
     normalization_residual: float
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
-            "blocking": {"b1": self.blocking.b1, "b2": self.blocking.b2},
+            "blocking": asdict(self.blocking),
             "p00": self.p00,
             "boundary": [float(v) for v in self.boundary.p],
-            "baseline_inf": {"b1": self.baseline_inf.b1,
-                             "b2": self.baseline_inf.b2},
-            "baseline_a0": (None if self.baseline_a0 is None else
-                            {"b1": self.baseline_a0.b1,
-                             "b2": self.baseline_a0.b2}),
+            "baseline_inf": asdict(self.baseline_inf),
+            "baseline_a0": asdict(self.baseline_a0),
             "normalization_residual": self.normalization_residual,
             "diagnostics": self.diagnostics,
         }
 
 
-def _x0_many(params: ModelParams, z: np.ndarray, bp) -> np.ndarray:
-    """Vectorized X0 over complex points off the cuts."""
-    s = params.rate_sum
-    q1 = params.mu2c2 * z * z - s * z + params.lambda2
-    sigma = np.full(z.shape, params.mu2c2, dtype=complex)
-    for r in (bp.y1, bp.y2, bp.y3, bp.y4):
-        sigma = sigma * np.sqrt(z - r)
-    return (-q1 + sigma) / (2.0 * params.mu1c1 * z)
-
-
-def assemble(params: ModelParams, cache: BoundaryCache,
-             cfg: QuadConfig | None = None) -> CoefficientMatrix:
+def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     """Coefficients of the boundary linear system, for a >= 1.
 
     The inner cut integrals J_k are tabulated once per theta node and
@@ -94,18 +80,16 @@ def assemble(params: ModelParams, cache: BoundaryCache,
     trapezoid rule, spectrally accurate here because the integrands
     extend to smooth even periodic functions of theta.
     """
-    cfg = cfg or cache.cfg
     p = params
     a = p.a
     if a < 1:
         raise ValueError("assemble requires a >= 1")
-    n_t = cfg.grid_size
+    n_t = cache.cfg.grid_size
     theta = np.linspace(0.0, math.pi, n_t + 1)
     w_t = np.full(n_t + 1, math.pi / n_t)
     w_t[[0, -1]] *= 0.5
 
-    x_t = np.asarray(x_of_theta(p, theta))
-    phi1_t = cache.phi1_many(x_t)
+    x_t, phi1_t = cache.x_theta, cache.phi1_theta
     denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
     cos_t = np.cos(theta)
     r2 = cache.bp.r2
@@ -147,30 +131,26 @@ def eval_P1(params: ModelParams, cache: BoundaryCache,
     """Generating function P1(x) of the n2 = 0 boundary, |x| < r1."""
     p = params
     coeffs = bvec.p if isinstance(bvec, BoundaryVector) else np.asarray(bvec)
+    phi1_x = cache.phi1(x)    # KernelZeroOnCut if K(x, .) vanishes on the cut
     y = cache.y_nodes
     kern = kernel_value(p, x, y)
-    scale = p.rate_sum * max(1.0, abs(x)) ** 2
-    if np.min(np.abs(kern)) < 1e-12 * scale:
-        raise KernelZeroOnCut(f"K({x}, y) vanishes on the cut [y1, y2]")
     pm = np.polyval(coeffs[::-1], y)
     integral = float(np.sum(
         cache.y_weights * (p.lambda2 - p.mu2c2 * y * y) * pm
         * cache.sin_theta1 * cache.exp_neg_phi1 / (y * kern)))
-    phi1_x = cache.phi1(x)
     return (phi1_x * float(coeffs[0])
             + x * p.lambda1 * phi1_x / (p.lambda2 * math.pi) * integral)
 
 
 def eval_P2(params: ModelParams, cache: BoundaryCache,
-            bvec: BoundaryVector | np.ndarray, y,
-            contour_points: int = 4096):
+            bvec: BoundaryVector | np.ndarray, y):
     """Generating function P2(y) of the n1 = 0 boundary, |y| < r2.
 
     Two pieces: a cut integral over [x1, x2] carrying P1, and a contour
     integral over the circle of radius r2 carrying the boundary
-    polynomial (trapezoid on a uniform circle grid, spectrally accurate
-    for the analytic integrand), plus p(0,0).  Accepts complex y inside
-    the circle; returns a float for real y.
+    polynomial (trapezoid on a uniform grid of CONTOUR_POINTS, spectrally
+    accurate for the analytic integrand), plus p(0,0).  Accepts complex y
+    inside the circle; returns a float for real y.
     """
     p = params
     coeffs = bvec.p if isinstance(bvec, BoundaryVector) else np.asarray(bvec)
@@ -178,7 +158,7 @@ def eval_P2(params: ModelParams, cache: BoundaryCache,
     if abs(y) >= bp.r2:
         raise ValueError(f"P2 requires |y| < r2 = {bp.r2}")
 
-    x_nodes, x_weights = cosine_grid(bp.x1, bp.x2, cache.grid_size)
+    x_nodes, x_weights = cosine_grid(bp.x1, bp.x2, cache.cfg.grid_size)
     s = p.rate_sum
     q2 = p.mu1c1 * x_nodes ** 2 - s * x_nodes + p.lambda1
     neg_d2 = np.maximum(4.0 * p.mu2c2 * p.lambda2 * x_nodes ** 2 - q2 * q2, 0.0)
@@ -192,9 +172,9 @@ def eval_P2(params: ModelParams, cache: BoundaryCache,
     term1 = y * p.lambda2 / (2.0 * math.pi * p.lambda1) \
         * np.sum(x_weights * integrand)
 
-    th = np.linspace(0.0, 2.0 * math.pi, contour_points, endpoint=False)
+    th = np.linspace(0.0, 2.0 * math.pi, CONTOUR_POINTS, endpoint=False)
     z = bp.r2 * np.exp(1j * th)
-    x0 = _x0_many(p, z, bp)
+    x0, _ = x_roots(p, z, bp)
     kern_z = kernel_value(p, x0, y)
     if np.min(np.abs(kern_z)) < 1e-9 * p.rate_sum:
         raise KernelZeroOnCut("contour passes near a kernel zero")
@@ -235,7 +215,7 @@ def solve_boundary(params: ModelParams,
         unscaled = np.array([1.0])
         cond = 1.0
     else:
-        cm = assemble(params, cache, cfg)
+        cm = assemble(params, cache)
         mat = (np.diag(cache.bp.r2 ** np.arange(a, dtype=float))
                - cm.alpha[:, 1:])
         rhs = cm.beta + cm.alpha[:, 0]
@@ -256,9 +236,7 @@ def solve_boundary(params: ModelParams,
     if np.any(p < -1e-8):
         raise NegativeProbability(f"boundary probabilities {p}")
     p = np.maximum(p, 0.0)
-    vec = BoundaryVector(p=p, seed_scale=scale)
-    object.__setattr__(vec, "_cond", cond)
-    return vec
+    return BoundaryVector(p=p, seed_scale=scale, cond=cond)
 
 
 def blocking(params: ModelParams,
@@ -272,19 +250,16 @@ def blocking(params: ModelParams,
     b2 = eval_P1(params, cache, bvec, 1.0)
     drift = (params.lambda1 + params.lambda2 - params.mu1c1 - params.mu2c2)
     residual = abs(params.lambda1 * b1 + params.lambda2 * b2 - drift)
-    report = BlockingReport(
+    return BlockingReport(
         blocking=BlockingPair(b1, b2),
         p00=bvec.p00,
         boundary=bvec,
         baseline_inf=isolated_limits(params),
         baseline_a0=baseline_a0(params, cfg),
         normalization_residual=residual,
-        diagnostics={
-            "grid_size": cfg.grid_size,
-            "condition_estimate": getattr(bvec, "_cond", 1.0),
-        },
+        diagnostics={"grid_size": cfg.grid_size,
+                     "condition_estimate": bvec.cond},
     )
-    return report
 
 
 def blocking_with_estimate(params: ModelParams,

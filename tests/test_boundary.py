@@ -119,7 +119,6 @@ def test_phi1_memo_consistent(cache64):
     v1 = cache64.phi1(0.77)
     v2 = cache64.phi1(0.77)
     assert v1 == v2
-    assert 0.77 in cache64._phi1_memo
 
 
 def test_phi1_grid_convergence():
@@ -154,10 +153,18 @@ def test_phi1_many_rejects_each_kernel_zero(cache64):
     x_bad = (-q1 + math.sqrt(disc)) / (2.0 * p.mu1c1 * y_out)
     nodes = cache64.y_nodes.copy()
     nodes[-1] = y_out
-    bad = dataclasses.replace(cache64, y_nodes=nodes, _phi1_memo={})
+    bad = dataclasses.replace(cache64, y_nodes=nodes)
     with pytest.raises(KernelZeroOnCut, match=repr(x_bad)[:8]):
         bad.phi1_many([0.25, x_bad])
     assert bad.phi1_many([0.25])[0] > 0.0
+
+
+def test_boundary_cache_is_a_frozen_value(cache64):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cache64.phi1_theta = None
+    assert cache64.x_theta.shape == cache64.phi1_theta.shape == (65,)
+    np.testing.assert_array_equal(cache64.phi1_theta,
+                                  cache64.phi1_many(cache64.x_theta))
 
 
 def test_boundary_cache_is_memoized():

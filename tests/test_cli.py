@@ -160,3 +160,25 @@ def test_prelimit_reads_config(tmp_path, capsys):
     _, at_zero = run(capsys, ["prelimit", "--config", str(cfg), "--a", "0",
                               "--nu", "3"])
     assert json.loads(at_zero) != json.loads(expected)
+
+
+BAD_CONFIGS = {
+    "missing key": '{"lambda1": 3, "lambda2": 5, "mu2": 2, "c1": 1, "c2": 1}',
+    "malformed JSON": '{"lambda1": 3, "lambda2": 5,',
+    "missing file": None,
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "prelimit"])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
+                                                case):
+    cfg = tmp_path / "model.json"
+    if BAD_CONFIGS[case] is not None:
+        cfg.write_text(BAD_CONFIGS[case])
+    extra = ["--nu", "3"] if command == "prelimit" else []
+    code = main([command, "--config", str(cfg), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -163,3 +164,58 @@ def test_chebyshev_second_kind():
     assert chebyshev_u(1, 0.3) == 0.6
     with pytest.raises(ValueError):
         chebyshev_u(-1, 0.3)
+
+
+def _cmath_roots(p, bp, z, side):
+    """Reference X0 and Y0 one point at a time: cmath square roots with the
+    side's signed zero, as the scalar root functions used to compute them."""
+    def root(z, cuts, quad, const, lead):
+        if abs(z.imag) < 1e-9 and (cuts[0] - 1e-9 < z.real < cuts[1] + 1e-9
+                                   or cuts[2] - 1e-9 < z.real < cuts[3] + 1e-9):
+            z = complex(z.real, side.value * 0.0)
+        sigma = complex(quad)
+        for c in cuts:
+            sigma *= cmath.sqrt(complex(z.real - c, z.imag))
+        q = quad * z * z - p.rate_sum * z + const
+        return (-q + sigma) / (2.0 * lead * z)
+    return (root(z, (bp.y1, bp.y2, bp.y3, bp.y4), p.mu2c2, p.lambda2, p.mu1c1),
+            root(z, (bp.x1, bp.x2, bp.x3, bp.x4), p.mu1c1, p.lambda1, p.mu2c2))
+
+
+@pytest.mark.parametrize("side", [Side.ABOVE, Side.BELOW])
+@pytest.mark.parametrize("p", [BASE, UNDERLOAD2, OVERLOAD2])
+def test_array_roots_equal_per_element_roots(p, side):
+    bp = branch_points(p)
+    rng = np.random.default_rng(11)
+    off_cut = rng.uniform(-4, 8, 20) + 1j * rng.uniform(-2, 2, 20)
+    for cuts, roots in (((bp.y1, bp.y2, bp.y3, bp.y4), x_roots),
+                        ((bp.x1, bp.x2, bp.x3, bp.x4), y_roots)):
+        on_cut = np.concatenate([np.linspace(cuts[0], cuts[1], 7),
+                                 np.linspace(cuts[2], cuts[3], 7)])
+        z = np.concatenate([off_cut, on_cut, [0.0]])
+        r0, r1 = roots(p, z, bp, side=side)
+        each = [roots(p, zz, bp, side=side) for zz in z]
+        # numpy's vector and scalar complex loops may round differently
+        np.testing.assert_allclose(r0, [e[0] for e in each], rtol=1e-12)
+        np.testing.assert_allclose(r1, [e[1] for e in each], rtol=1e-12)
+        assert r0[-1] == 0 and r1[-1] == complex(math.inf)
+    # both root functions against the scalar cmath reference
+    for z in np.concatenate([off_cut, np.linspace(bp.y1, bp.y2, 9),
+                             np.linspace(bp.x1, bp.x2, 9)]):
+        ref_x0, ref_y0 = _cmath_roots(p, bp, complex(z), side)
+        x0 = x_roots(p, z, bp, side=side)[0]
+        y0 = y_roots(p, z, bp, side=side)[0]
+        np.testing.assert_allclose(x0, ref_x0, rtol=1e-12)
+        np.testing.assert_allclose(y0, ref_y0, rtol=1e-12)
+
+
+def test_array_with_one_on_cut_point_raises():
+    bp = branch_points(BASE)
+    ys = np.array([0.3 + 1.0j, -1.0, 0.5 * (bp.y1 + bp.y2), 5.0 + 0.5j])
+    with pytest.raises(OnCut):
+        x_roots(BASE, ys, bp)
+    xs = np.array([0.3 + 1.0j, 0.5 * (bp.x3 + bp.x4), 5.0 + 0.5j])
+    with pytest.raises(OnCut):
+        y_roots(BASE, xs, bp)
+    x0, _ = x_roots(BASE, np.delete(ys, 2), bp)
+    assert x0.shape == (3,)

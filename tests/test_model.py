@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from qwblock.errors import NonPositiveRate, Unstable
+from qwblock.errors import NonPositiveRate, QwblockError, Unstable
 from qwblock.model import (BlockingPair, ModelParams, isolated_limits,
-                           params_from_dict, params_from_json, validate)
+                           params_from_dict, params_from_json, read_config,
+                           validate)
 
 from conftest import BASE, OVERLOAD2, UNDERLOAD2
 
@@ -76,8 +77,25 @@ def test_params_from_dict_forms_products():
 
 
 def test_params_from_dict_missing_key():
-    with pytest.raises(KeyError):
+    with pytest.raises(QwblockError):
         params_from_dict({"lambda1": 3})
+
+
+@pytest.mark.parametrize("doc", [
+    [3, 5, 1, 1, 1, 2],
+    "lambda1",
+    {"lambda1": 3, "lambda2": "five", "mu1": 1, "mu2": 1, "c1": 1, "c2": 2},
+    {"lambda1": 3, "lambda2": [5], "mu1": 1, "mu2": 1, "c1": 1, "c2": 2},
+    {"lambda1": 3, "lambda2": 5, "mu1": 1, "mu2": 1, "c1": 1, "c2": 2,
+     "a": None},
+])
+def test_read_config_rejects_unusable_documents(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(QwblockError):
+        read_config(str(path))
+    with pytest.raises(QwblockError):
+        params_from_dict(doc)
 
 
 def test_params_from_json(tmp_path):

@@ -40,7 +40,7 @@ def test_boundary_vector_poly():
 
 def test_assemble_requires_threshold(cache):
     with pytest.raises(ValueError):
-        assemble(BASE.with_a(0), cache, CFG)
+        assemble(BASE.with_a(0), cache)
 
 
 def test_boundary_coefficients_positive_and_conserving(bvec2):
@@ -116,6 +116,15 @@ def test_blocking_report_contents(bvec2):
     assert set(d) == {"blocking", "p00", "boundary", "baseline_inf",
                       "baseline_a0", "normalization_residual", "diagnostics"}
     assert d["diagnostics"]["grid_size"] == 128
+
+
+def test_condition_number_is_reported(cache, bvec2):
+    rep = blocking(BASE.with_a(2), CFG)
+    assert bvec2.cond > 1.0
+    assert bvec2.cond == rep.to_dict()["diagnostics"]["condition_estimate"]
+    assert solve_boundary(BASE, CFG, cache).cond == 1.0
+    assert blocking(BASE, CFG).to_dict()["diagnostics"][
+        "condition_estimate"] == 1.0
 
 
 def test_blocking_monotone_in_threshold():
@@ -210,7 +219,7 @@ def _dense_coefficients(p, cache, n_t):
                                     OVERLOAD2.with_a(10)])
 def test_assemble_matches_dense_sums(params):
     cache = boundary_cache(params, CFG)
-    cm = assemble(params, cache, CFG)
+    cm = assemble(params, cache)
     alpha, beta = _dense_coefficients(params, cache, CFG.grid_size)
     # columns k scale like r2^(k-1); compare each against its own size
     assert np.all(np.abs(cm.alpha - alpha)
