@@ -20,12 +20,12 @@ import sys
 
 from . import __version__
 from .errors import QwblockError
-from .model import (CONFIG_KEYS, ModelParams, isolated_limits,
-                    params_from_json, read_config, validate)
+from .model import (CONFIG_KEYS, ModelParams, params_from_json, read_config,
+                    validate)
 from .oracle import (default_box, blocking_from_distribution, solve_limiting_walk,
                      solve_prelimit)
 from .quadrature import QuadConfig
-from .solver import baseline_a0, blocking
+from .solver import blocking, sweep
 
 SWEEP_HEADER = ["a", "B1", "B2", "B1_inf", "B2_inf", "B1_0", "B2_0",
                 "p00", "residual"]
@@ -63,8 +63,11 @@ def _cfg(args) -> QuadConfig:
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise QwblockError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -84,17 +87,11 @@ def cmd_sweep(args) -> int:
     params = _params(args)
     if not 0 <= args.a_min <= args.a_max <= 200:
         raise QwblockError("sweep range must satisfy 0 <= a-min <= a-max <= 200")
-    cfg = _cfg(args)
-    inf = isolated_limits(params)
-    base0 = baseline_a0(params, cfg)
-    rows = []
-    for a in range(args.a_min, args.a_max + 1):
-        rep = blocking(params.with_a(a), cfg)
-        rows.append([a, rep.blocking.b1, rep.blocking.b2, inf.b1, inf.b2,
-                     base0.b1, base0.b2, rep.p00,
-                     rep.normalization_residual])
-    out = _format_rows(SWEEP_HEADER, rows, args.format)
-    _emit(args, out)
+    thresholds = range(args.a_min, args.a_max + 1)
+    reports = sweep(params, thresholds, _cfg(args))
+    rows = [[a, *rep.blocking, *rep.baseline_inf, *rep.baseline_a0, rep.p00,
+             rep.normalization_residual] for a, rep in zip(thresholds, reports)]
+    _emit(args, _format_rows(SWEEP_HEADER, rows, args.format))
     return 0
 
 

@@ -6,7 +6,11 @@ class QwblockError(Exception):
 
 
 class NonPositiveRate(QwblockError):
-    """A rate or capacity parameter is not strictly positive."""
+    """A rate, capacity or threshold parameter is out of its range."""
+
+
+class BadGridSize(QwblockError, ValueError):
+    """A quadrature grid size is odd or below 16."""
 
 
 class Unstable(QwblockError):
@@ -46,4 +50,4 @@ class BoxTooSmall(QwblockError):
 
 
 class StateSpaceTooLarge(QwblockError):
-    """Pre-limit chain state space exceeds the supported size."""
+    """A chain's state space exceeds the supported size."""

@@ -36,6 +36,10 @@ class ModelParams:
     def rate_sum(self) -> float:
         return self.lambda1 + self.lambda2 + self.mu1c1 + self.mu2c2
 
+    @property
+    def drift(self) -> float:    # = lambda1*B1 + lambda2*B2
+        return self.lambda1 + self.lambda2 - self.mu1c1 - self.mu2c2
+
     def with_a(self, a: int) -> "ModelParams":
         return ModelParams(self.lambda1, self.lambda2, self.mu1c1, self.mu2c2, a)
 

@@ -19,10 +19,11 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import BoxTooSmall, StateSpaceTooLarge
+from .errors import BoxTooSmall, NonPositiveRate, StateSpaceTooLarge
 from .model import BlockingPair, ModelParams, validate
 
 BOX_SAFETY = 20.0    # default_box gives each side ~BOX_SAFETY/(1-rho) states
+MAX_STATES = 4_000_000    # largest chain either oracle solves
 
 
 @dataclass
@@ -86,6 +87,11 @@ def _box_chain(side1: int, side2: int, moves, pin=(0, 0)):
     transition, rate a scalar or an array over the states.  ``pin`` is
     the state pinned in the solve.  Returns (probs on the box, residual).
     """
+    if min(side1, side2) < 1:
+        raise BoxTooSmall(f"box sides ({side1}, {side2}) must be at least 1")
+    if (side1 + 1) * (side2 + 1) > MAX_STATES:
+        raise StateSpaceTooLarge(f"{(side1 + 1) * (side2 + 1)} states "
+                                 f"exceeds {MAX_STATES:.0e}")
     w = side2 + 1
     n1, n2 = (g.ravel() for g in np.meshgrid(
         np.arange(side1 + 1), np.arange(w), indexing="ij"))
@@ -170,17 +176,22 @@ def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
 
     Capacities are C_i = nu * c_i (rounded with a warning when not
     integral).  A redirected DC-1 request is lost when N1 = C1 and
-    C2 - a <= N2 <= C2; DC-2 requests are lost when N2 = C2.
+    C2 - a <= N2 <= C2; DC-2 requests are lost when N2 = C2.  Rates,
+    capacities and nu must be positive and finite, a a non-negative int.
     """
+    for name, value in (("lambda1", lambda1), ("lambda2", lambda2),
+                        ("mu1", mu1), ("mu2", mu2), ("c1", c1), ("c2", c2),
+                        ("nu", nu), ("nu*c1", nu * c1), ("nu*c2", nu * c2)):
+        if not 0.0 < value < math.inf:
+            raise NonPositiveRate(f"{name} must be positive and finite, "
+                                  f"got {value!r}")
+    if not (isinstance(a, int) and a >= 0):
+        raise NonPositiveRate(f"a must be a non-negative integer, got {a!r}")
     cap1 = nu * c1
     cap2 = nu * c2
     if abs(cap1 - round(cap1)) > 1e-9 or abs(cap2 - round(cap2)) > 1e-9:
         warnings.warn(f"nu*c = ({cap1}, {cap2}) rounded to integers")
     cap1, cap2 = round(cap1), round(cap2)
-    n_states = (cap1 + 1) * (cap2 + 1)
-    if n_states > 4_000_000:
-        raise StateSpaceTooLarge(f"{n_states} states exceeds 4e6")
-
     big1, big2 = nu * lambda1, nu * lambda2
 
     def moves(m1, m2):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadGridSize
 
 # Grid-sized tabulations run in blocks of this many float64 (128 KiB), which
 # stay in cache and in the allocator's free lists; whole-matrix temporaries
@@ -29,7 +30,8 @@ class QuadConfig:
 
     def __post_init__(self):
         if self.grid_size < 16 or self.grid_size % 2:
-            raise ValueError("grid_size must be even and >= 16")
+            raise BadGridSize(f"grid size must be even and >= 16, got "
+                              f"{self.grid_size}")
 
     def with_grid(self, grid_size: int) -> "QuadConfig":
         return QuadConfig(grid_size)

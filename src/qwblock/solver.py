@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .boundary import BoundaryCache, boundary_cache, phi2
 from .errors import KernelZeroOnCut, NegativeProbability, SingularSystem
-from .kernel import branch_points, kernel_value, x_roots
+from .kernel import kernel_value, x_roots
 from .model import BlockingPair, ModelParams, isolated_limits, validate
 from .quadrature import QuadConfig, blocks, cosine_grid
 
@@ -127,19 +127,24 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
 
 
 def eval_P1(params: ModelParams, cache: BoundaryCache,
-            bvec: BoundaryVector | np.ndarray, x: float) -> float:
-    """Generating function P1(x) of the n2 = 0 boundary, |x| < r1."""
+            bvec: BoundaryVector | np.ndarray, x):
+    """Generating function P1(x) of the n2 = 0 boundary, |x| < r1: a float
+    at a scalar x, else an array, tabulated in row blocks."""
     p = params
     coeffs = bvec.p if isinstance(bvec, BoundaryVector) else np.asarray(bvec)
-    phi1_x = cache.phi1(x)    # KernelZeroOnCut if K(x, .) vanishes on the cut
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    phi1_x = cache.phi1_many(xs)  # KernelZeroOnCut if K(x, .) vanishes
     y = cache.y_nodes
-    kern = kernel_value(p, x, y)
-    pm = np.polyval(coeffs[::-1], y)
-    integral = float(np.sum(
-        cache.y_weights * (p.lambda2 - p.mu2c2 * y * y) * pm
-        * cache.sin_theta1 * cache.exp_neg_phi1 / (y * kern)))
-    return (phi1_x * float(coeffs[0])
-            + x * p.lambda1 * phi1_x / (p.lambda2 * math.pi) * integral)
+    weight = (cache.y_weights * (p.lambda2 - p.mu2c2 * y * y)
+              * np.polyval(coeffs[::-1], y) * cache.sin_theta1
+              * cache.exp_neg_phi1)
+    integral = np.empty(xs.size)
+    for rows in blocks(xs.size, y.size):
+        integral[rows] = np.sum(
+            weight / (y * kernel_value(p, xs[rows, None], y)), axis=1)
+    out = (phi1_x * float(coeffs[0])
+           + xs * p.lambda1 * phi1_x / (p.lambda2 * math.pi) * integral)
+    return out if np.ndim(x) else float(out[0])
 
 
 def eval_P2(params: ModelParams, cache: BoundaryCache,
@@ -163,7 +168,7 @@ def eval_P2(params: ModelParams, cache: BoundaryCache,
     q2 = p.mu1c1 * x_nodes ** 2 - s * x_nodes + p.lambda1
     neg_d2 = np.maximum(4.0 * p.mu2c2 * p.lambda2 * x_nodes ** 2 - q2 * q2, 0.0)
     # sqrt(-Delta2) vanishes like sqrt at both endpoints: cosine grid regime
-    p1_vals = np.array([eval_P1(p, cache, coeffs, float(x)) for x in x_nodes])
+    p1_vals = eval_P1(p, cache, coeffs, x_nodes)
     kern_x = kernel_value(p, x_nodes, y)
     denom = (x_nodes * (p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_nodes)
              * kern_x)
@@ -200,66 +205,67 @@ def cond_lower_bound(mat: np.ndarray) -> float:
 
 def solve_boundary(params: ModelParams,
                    cfg: QuadConfig | None = None,
-                   cache: BoundaryCache | None = None) -> BoundaryVector:
+                   cache: BoundaryCache | None = None,
+                   cm: CoefficientMatrix | None = None) -> BoundaryVector:
     """Determine p(0, 0..a): seed p(0,0) = 1, solve, rescale.
 
-    Every pipeline quantity is linear in p(0,0), so the normalization
-    lambda1*B1 + lambda2*B2 = lambda1 + lambda2 - mu1c1 - mu2c2 fixes
-    the seed by a single rescaling after the linear solve.
+    The system is the leading a x (a+1) block of ``cm``, assembled at any
+    threshold >= a (by default at a).  Every pipeline quantity is linear
+    in p(0,0), so the normalization to the drift fixes the seed.
     """
     validate(params)
-    cfg = cfg or QuadConfig()
-    cache = cache or boundary_cache(params, cfg)
+    cache = cache or boundary_cache(params, cfg or QuadConfig())
     a = params.a
     if a == 0:
-        unscaled = np.array([1.0])
-        cond = 1.0
+        unscaled, cond = np.array([1.0]), 1.0
     else:
-        cm = assemble(params, cache)
+        cm = cm or assemble(params, cache)
         mat = (np.diag(cache.bp.r2 ** np.arange(a, dtype=float))
-               - cm.alpha[:, 1:])
-        rhs = cm.beta + cm.alpha[:, 0]
+               - cm.alpha[:a, 1:a + 1])
+        rhs = cm.beta[:a] + cm.alpha[:a, 0]
         # the norm bound refuses most ill-posed systems without an SVD
         cond = cond_lower_bound(mat)
         if not cond > 1e12:
             cond = float(np.linalg.cond(mat))
         if cond > 1e12:
             raise SingularSystem(f"condition number at least {cond:.3e}")
-        u = scipy.linalg.solve(mat, rhs)
-        unscaled = np.concatenate([[1.0], u])
+        unscaled = np.concatenate([[1.0], scipy.linalg.solve(mat, rhs)])
 
-    b1_raw = float(unscaled.sum())
     b2_raw = eval_P1(params, cache, unscaled, 1.0)
-    drift = (params.lambda1 + params.lambda2 - params.mu1c1 - params.mu2c2)
-    scale = drift / (params.lambda1 * b1_raw + params.lambda2 * b2_raw)
+    scale = params.drift / (params.lambda1 * float(unscaled.sum())
+                            + params.lambda2 * b2_raw)
     p = scale * unscaled
     if np.any(p < -1e-8):
         raise NegativeProbability(f"boundary probabilities {p}")
-    p = np.maximum(p, 0.0)
-    return BoundaryVector(p=p, seed_scale=scale, cond=cond)
+    return BoundaryVector(p=np.maximum(p, 0.0), seed_scale=scale, cond=cond)
+
+
+def sweep(params: ModelParams, thresholds,
+          cfg: QuadConfig | None = None) -> list[BlockingReport]:
+    """Blocking reports at each threshold, params.a unread.  alpha_{n,k}
+    and beta_n depend on n and k only, so one assembly at the largest
+    threshold serves all; the first refused threshold raises its error."""
+    p, thresholds = params, list(thresholds)
+    top = validate(p.with_a(max(thresholds, default=0)))
+    cache = boundary_cache(top, cfg)
+    cm = assemble(top, cache) if top.a else None
+    bvecs = [solve_boundary(p.with_a(a), cfg, cache, cm) for a in thresholds]
+    pairs = [BlockingPair(float(bvec.p.sum()), eval_P1(p, cache, bvec, 1.0))
+             for bvec in bvecs]
+    inf, a0 = isolated_limits(top), baseline_a0(top, cfg)
+    return [BlockingReport(
+        blocking=pair, p00=bvec.p00, boundary=bvec, baseline_inf=inf,
+        baseline_a0=a0, normalization_residual=abs(
+            p.lambda1 * pair.b1 + p.lambda2 * pair.b2 - p.drift),
+        diagnostics={"grid_size": cache.cfg.grid_size,
+                     "condition_estimate": bvec.cond})
+        for bvec, pair in zip(bvecs, pairs)]
 
 
 def blocking(params: ModelParams,
              cfg: QuadConfig | None = None) -> BlockingReport:
-    """Full blocking report: B1 = sum_n p(0,n), B2 = P1(1), plus baselines."""
-    validate(params)
-    cfg = cfg or QuadConfig()
-    cache = boundary_cache(params, cfg)
-    bvec = solve_boundary(params, cfg, cache)
-    b1 = float(bvec.p.sum())
-    b2 = eval_P1(params, cache, bvec, 1.0)
-    drift = (params.lambda1 + params.lambda2 - params.mu1c1 - params.mu2c2)
-    residual = abs(params.lambda1 * b1 + params.lambda2 * b2 - drift)
-    return BlockingReport(
-        blocking=BlockingPair(b1, b2),
-        p00=bvec.p00,
-        boundary=bvec,
-        baseline_inf=isolated_limits(params),
-        baseline_a0=baseline_a0(params, cfg),
-        normalization_residual=residual,
-        diagnostics={"grid_size": cfg.grid_size,
-                     "condition_estimate": bvec.cond},
-    )
+    """Report at params.a: B1 = sum_n p(0,n), B2 = P1(1), baselines."""
+    return sweep(params, [params.a], cfg)[0]
 
 
 def blocking_with_estimate(params: ModelParams,
@@ -285,14 +291,11 @@ def baseline_a0(params: ModelParams,
                 cfg: QuadConfig | None = None) -> BlockingPair:
     """No-reservation baseline (a = 0) in closed form via phi2(1)."""
     validate(params.with_a(0))
-    cfg = cfg or QuadConfig()
-    bp = branch_points(params)
-    drift = (params.lambda1 + params.lambda2 - params.mu1c1 - params.mu2c2)
-    phi2_1 = phi2(params, 1.0, bp, cfg)
+    phi2_1 = phi2(params, 1.0, cfg=cfg)
     if params.lambda2 > params.mu2c2:
         p00 = (params.lambda1 - params.mu1c1) / (params.lambda1 * phi2_1)
     else:
-        p00 = drift / (params.lambda1 * phi2_1)
+        p00 = params.drift / (params.lambda1 * phi2_1)
     b2 = (params.lambda2 + params.lambda1 * (1.0 - p00)
           - params.mu1c1 - params.mu2c2) / params.lambda2
     return BlockingPair(p00, b2)

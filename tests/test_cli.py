@@ -182,3 +182,26 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+
+BAD_INPUTS = [
+    *([command, *ARGS[:6], *bad] for command in ("solve", "sweep")
+      for bad in (["--grid-size", "15"], ["-o", "{tmp}/missing/x.json"])),
+    ["prelimit", "--lambda1", "3", "--lambda2", "5", "--nu", "0"],
+    ["prelimit", "--lambda1", "3", "--lambda2", "5", "--nu", "nan"],
+    ["prelimit", "--lambda1", "3", "--lambda2", "5", "--nu", "3",
+     "--a", "-3"],
+    ["prelimit", "--lambda1", "3", "--lambda2", "5", "--mu1", "-1",
+     "--nu", "3"],
+    ["oracle", *ARGS[:6], "--box", "-5", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err

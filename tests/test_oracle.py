@@ -1,7 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qwblock.errors import BoxTooSmall, StateSpaceTooLarge
+from qwblock.errors import BoxTooSmall, NonPositiveRate, StateSpaceTooLarge
 from qwblock.model import ModelParams
 from qwblock.oracle import (_stationary_from_transitions,
                             blocking_from_distribution, default_box,
@@ -106,3 +109,38 @@ def test_prelimit_rounding_warns():
 def test_prelimit_rejects_huge_state_space():
     with pytest.raises(StateSpaceTooLarge):
         solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 1.0, a=0, nu=3000.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"lambda1": 0.0}, {"lambda2": -1.0}, {"mu1": -1.0}, {"mu2": math.inf},
+    {"c1": 0.0}, {"c2": math.nan}, {"nu": 0.0}, {"nu": math.nan},
+    {"nu": math.inf}, {"a": -3}, {"a": 1.5},
+])
+def test_prelimit_rejects_invalid_input(bad):
+    args = {"lambda1": 0.8, "lambda2": 0.5, "mu1": 1.0, "mu2": 1.0,
+            "c1": 1.0, "c2": 1.0, "a": 1, "nu": 3.0, **bad}
+    with pytest.raises(NonPositiveRate):
+        solve_prelimit(**args)
+
+
+@pytest.mark.parametrize("box", [(-5, 3), (0, 60), (60, 0)])
+def test_limiting_walk_rejects_box_side_below_one(box):
+    with pytest.raises(BoxTooSmall, match="at least 1"):
+        solve_limiting_walk(BASE, box)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_limiting_walk(BASE, (2000, 2000)),
+    lambda: solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 1.0, a=0, nu=2000.0),
+])
+def test_over_cap_chains_are_refused_before_allocating(solve):
+    # 2001 x 2001 states is just above the cap; building its index grid
+    # alone would trace 32 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLarge):
+            solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

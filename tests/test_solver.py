@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from qwblock import solver
 from qwblock.boundary import boundary_cache
-from qwblock.errors import SingularSystem
+from qwblock.errors import QwblockError, SingularSystem
 from qwblock.kernel import x_of_theta
 from qwblock.model import ModelParams
 from qwblock.quadrature import QuadConfig
 from qwblock.solver import (BoundaryVector, assemble, baseline_a0, blocking,
                             blocking_with_estimate, cond_lower_bound, eval_P1,
-                            eval_P2, solve_boundary)
+                            eval_P2, solve_boundary, sweep)
 
-from conftest import BASE, OVERLOAD2, UNDERLOAD2
+from conftest import BASE, CASES, OVERLOAD2, UNDERLOAD2
 
 CFG = QuadConfig(grid_size=128)
 
@@ -252,3 +253,76 @@ def test_ill_conditioned_systems_are_refused():
         solve_boundary(far)
     with pytest.raises(SingularSystem, match="condition number"):
         solve_boundary(near)
+
+
+def test_eval_P1_array_equals_per_element(cache, bvec2):
+    p = BASE.with_a(2)
+    xs = np.concatenate([np.linspace(-1.5, 1.2, 37), [0.0, 1.0, -0.8]])
+    per_x = [eval_P1(p, cache, bvec2, float(x)) for x in xs]
+    assert all(isinstance(v, float) for v in per_x)
+    np.testing.assert_array_equal(eval_P1(p, cache, bvec2, xs), per_x)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_matches_per_threshold_blocking(name):
+    params = CASES[name]
+    reports = sweep(params, range(41))
+    for a, rep in enumerate(reports):
+        single = blocking(params.with_a(a))
+        for got, want in ((rep.blocking.b1, single.blocking.b1),
+                          (rep.blocking.b2, single.blocking.b2),
+                          (rep.p00, single.p00)):
+            assert abs(got - want) <= 1e-14 * abs(want)
+        # the systems agree to rounding, which moves the 2-norm condition
+        # number kappa by up to about kappa * eps relative
+        got = rep.diagnostics["condition_estimate"]
+        want = single.diagnostics["condition_estimate"]
+        assert abs(got - want) <= max(1e-12, 1e-15 * want) * want
+        assert rep.baseline_a0 == single.baseline_a0
+        assert rep.baseline_inf == single.baseline_inf
+    assert len({id(rep.diagnostics) for rep in reports}) == len(reports)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_slices_one_assembly(name):
+    # equal up to the order in which BLAS sums the products
+    params = CASES[name]
+    cache = boundary_cache(params)
+    top = assemble(params.with_a(40), cache)
+    for a in range(1, 41):
+        cm = assemble(params.with_a(a), cache)
+        assert np.all(np.abs(top.alpha[:a, :a + 1] - cm.alpha)
+                      <= 2e-15 * np.max(np.abs(cm.alpha), axis=0))
+        np.testing.assert_allclose(top.beta[:a], cm.beta, rtol=0,
+                                   atol=2e-15 * np.max(np.abs(cm.beta)))
+
+
+def test_sweep_assembles_once(monkeypatch):
+    calls = []
+
+    def counting(params, cache):
+        calls.append(params.a)
+        return assemble(params, cache)
+
+    monkeypatch.setattr(solver, "assemble", counting)
+    assert len(sweep(UNDERLOAD2, iter([3, 0, 12, 7]), CFG)) == 4
+    assert calls == [12]
+    blocking(UNDERLOAD2.with_a(5), CFG)
+    assert calls == [12, 5]
+    sweep(UNDERLOAD2, [0], CFG)
+    assert calls == [12, 5]
+
+
+def test_sweep_stops_at_the_first_refused_threshold():
+    thresholds = range(55, 71)
+    refused = None
+    for a in thresholds:
+        try:
+            blocking(BASE.with_a(a))
+        except QwblockError as exc:
+            refused = type(exc)
+            break
+    assert refused is not None
+    with pytest.raises(QwblockError) as info:
+        sweep(BASE, thresholds)
+    assert type(info.value) is refused
