@@ -7,19 +7,21 @@ truth), ``prelimit`` (finite pre-rescaling chain), and ``compare``
 
 Rates are taken with mu and c separate, as they appear in the original
 finite-capacity model, and multiplied internally.  The environment variable
-QW_GRID_SIZE overrides the default quadrature grid size.
+QW_GRID_SIZE, read when a command runs, overrides the default quadrature
+grid size.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 
 from . import __version__
-from .errors import QwblockError
+from .errors import BadGridSize, QwblockError
 from .model import (CONFIG_KEYS, ModelParams, params_from_json, read_config,
                     validate)
 from .oracle import (default_box, blocking_from_distribution, solve_limiting_walk,
@@ -42,7 +44,7 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=int, help="threshold (default: the --config "
                    "file's, else 0)")
     p.add_argument("--grid-size", type=int,
-                   default=int(os.environ.get("QW_GRID_SIZE", "512")))
+                   help="default: $QW_GRID_SIZE, else 512")
     p.add_argument("--output", "-o", help="output file (default: stdout)")
 
 
@@ -58,7 +60,13 @@ def _params(args) -> ModelParams:
 
 
 def _cfg(args) -> QuadConfig:
-    return QuadConfig(grid_size=args.grid_size)
+    if args.grid_size is not None:
+        return QuadConfig(grid_size=args.grid_size)
+    env = os.environ.get("QW_GRID_SIZE", "512")
+    try:
+        return QuadConfig(grid_size=int(env))
+    except ValueError as exc:    # BadGridSize is a ValueError too
+        raise BadGridSize(f"QW_GRID_SIZE={env!r}: {exc}") from exc
 
 
 def _emit(args, text: str) -> None:
@@ -167,38 +175,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="analytic blocking report for one threshold")
     _add_param_args(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="blocking pair for a range of thresholds")
     _add_param_args(p)
     p.add_argument("--a-min", type=int, default=0)
     p.add_argument("--a-max", type=int, default=30)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="truncated-chain ground truth")
     _add_param_args(p)
     p.add_argument("--box", type=int, nargs=2, metavar=("N1", "N2"))
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("prelimit", help="finite pre-rescaling chain")
     _add_param_args(p)
     p.add_argument("--nu", type=float, required=True)
-    p.set_defaults(func=cmd_prelimit)
 
     p = sub.add_parser("compare", help="analytic vs oracle with tolerance gate")
     _add_param_args(p)
     p.add_argument("--box", type=int, nargs=2, metavar=("N1", "N2"))
     p.add_argument("--tol", type=float, default=5e-3)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a later rebinding of cmd_* is honoured
+        return globals()[f"cmd_{args.command}"](args)
     except QwblockError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ class NonPositiveRate(QwblockError):
 
 
 class BadGridSize(QwblockError, ValueError):
-    """A quadrature grid size is odd or below 16."""
+    """A quadrature grid size is odd, below 16 or above 16,384."""
 
 
 class Unstable(QwblockError):

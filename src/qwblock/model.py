@@ -9,6 +9,7 @@ separately, takes them explicitly (see :mod:`qwblock.oracle`).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -62,16 +63,17 @@ class BlockingPair:
 
 
 def validate(params: ModelParams) -> ModelParams:
-    """Check positivity and the stability condition.
+    """Check that the rates are finite and positive, and the stability
+    condition.
 
     A stationary regime exists iff lambda1 > mu1c1 and
     mu1c1 + mu2c2 < lambda1 + lambda2.  Returns the params unchanged on
     success so call sites can chain.
     """
     for name in ("lambda1", "lambda2", "mu1c1", "mu2c2"):
-        if not getattr(params, name) > 0.0:
-            raise NonPositiveRate(f"{name} must be strictly positive, "
-                                  f"got {getattr(params, name)!r}")
+        if not 0.0 < getattr(params, name) < math.inf:
+            raise NonPositiveRate(f"{name} must be finite and strictly "
+                                  f"positive, got {getattr(params, name)!r}")
     if not (isinstance(params.a, int) and params.a >= 0):
         raise NonPositiveRate(f"a must be a non-negative integer, got {params.a!r}")
     if not params.lambda1 > params.mu1c1:

@@ -20,6 +20,9 @@ from .errors import BadGridSize
 # stay in cache and in the allocator's free lists; whole-matrix temporaries
 # went back to the system and were page-faulted in again by every solve.
 BLOCK_ELEMENTS = 16384
+# Spectral convergence leaves nothing to gain past this size, and far past
+# it cosine_grid's end nodes round onto the branch points.
+MAX_GRID_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -29,9 +32,9 @@ class QuadConfig:
     grid_size: int = 512
 
     def __post_init__(self):
-        if self.grid_size < 16 or self.grid_size % 2:
-            raise BadGridSize(f"grid size must be even and >= 16, got "
-                              f"{self.grid_size}")
+        if not 16 <= self.grid_size <= MAX_GRID_SIZE or self.grid_size % 2:
+            raise BadGridSize(f"grid size must be even and in 16.."
+                              f"{MAX_GRID_SIZE}, got {self.grid_size}")
 
     def with_grid(self, grid_size: int) -> "QuadConfig":
         return QuadConfig(grid_size)

@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .boundary import BoundaryCache, boundary_cache, phi2
 from .errors import KernelZeroOnCut, NegativeProbability, SingularSystem
@@ -48,6 +47,7 @@ class CoefficientMatrix:
 
     alpha: np.ndarray       # (a, a+1)
     beta: np.ndarray        # (a,)
+    p1_one: np.ndarray      # (a+1,): B2 = P1(1) = p1_one @ p(0, 0..a)
 
 
 @dataclass
@@ -98,16 +98,17 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     # common 2*mu2c2/pi^2; sin((k-1)t) = 2cos(t)sin(kt) - sin((k+1)t)
     # leaves alpha2 two sines, u*sin(k theta) + v*sin((k+1) theta)
     outer1 = w_t * x_t * phi1_t / denom_t * np.sin(theta)
-    outer2 = math.pi * w_t * x_t / ((1.0 - x_t) * denom_t)
+    # every sum weights the theta = 0 node by sin(0) = 0; leaving it out
+    # keeps 1/(1 - x2) away when queue 2 is critical (x2 = 1)
+    outer2 = np.divide(math.pi * w_t * x_t, (1.0 - x_t) * denom_t,
+                       out=np.zeros(n_t + 1), where=theta > 0.0)
     u_t = outer2 * (r2 * r2 + x_t - 2.0 * r2 * cos_t)
     v_t = outer2 * r2 * (1.0 - x_t)
     r2_pow = (r2 ** (np.arange(a + 1) - 1.0))[:, None]
 
     # inner integrals J_k(theta) = sum_y base y^(k-1) / D(y, theta)
     y = cache.y_nodes
-    base = (cache.y_weights * (p.lambda2 - p.mu2c2 * y * y)
-            * cache.sin_theta1 * cache.exp_neg_phi1)
-    y_base = y ** (np.arange(a + 1)[:, None] - 1) * base       # (a+1, ny)
+    y_base = y ** (np.arange(a + 1)[:, None] - 1) * _cut_base(p, cache)
     quad_y = (p.mu2c2 * y * y + p.lambda2)[:, None]
     cross_y = (2.0 * math.sqrt(p.mu2c2 * p.lambda2) * y)[:, None]
     # sin(k theta_j) = sin(pi (k j mod 2 n_t) / n_t), from one table
@@ -123,7 +124,34 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
         beta += sin_k[1:a + 1] @ outer1[cols]
     alpha *= 2.0 * p.mu2c2 / math.pi ** 2
     beta *= 2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)
-    return CoefficientMatrix(alpha=alpha, beta=beta)
+    return CoefficientMatrix(alpha, beta, _p1_one(p, cache, y_base))
+
+
+def coefficients(params: ModelParams,
+                 cache: BoundaryCache) -> CoefficientMatrix:
+    """assemble at a >= 1; at a = 0 there is no system, only p1_one."""
+    if params.a:
+        return assemble(params, cache)
+    return CoefficientMatrix(np.zeros((0, 1)), np.zeros(0), _p1_one(
+        params, cache, (_cut_base(params, cache) / cache.y_nodes)[None, :]))
+
+
+def _cut_base(p: ModelParams, cache: BoundaryCache) -> np.ndarray:
+    """The weight of every cut integral against the boundary polynomial."""
+    y = cache.y_nodes
+    return (cache.y_weights * (p.lambda2 - p.mu2c2 * y * y)
+            * cache.sin_theta1 * cache.exp_neg_phi1)
+
+
+def _p1_one(p: ModelParams, cache: BoundaryCache,
+            y_base: np.ndarray) -> np.ndarray:
+    """eval_P1 at x = 1 as weights on p(0, 0..a), from y_base[k] =
+    y^(k-1) _cut_base; phi1(1) refuses a vanishing K(1, y) before 1/K."""
+    phi1_one = cache.phi1(1.0)
+    row = p.lambda1 / (p.lambda2 * math.pi) * (
+        y_base @ (1.0 / kernel_value(p, 1.0, cache.y_nodes)))
+    row[0] += 1.0
+    return phi1_one * row
 
 
 def eval_P1(params: ModelParams, cache: BoundaryCache,
@@ -135,9 +163,7 @@ def eval_P1(params: ModelParams, cache: BoundaryCache,
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     phi1_x = cache.phi1_many(xs)  # KernelZeroOnCut if K(x, .) vanishes
     y = cache.y_nodes
-    weight = (cache.y_weights * (p.lambda2 - p.mu2c2 * y * y)
-              * np.polyval(coeffs[::-1], y) * cache.sin_theta1
-              * cache.exp_neg_phi1)
+    weight = _cut_base(p, cache) * np.polyval(coeffs[::-1], y)
     integral = np.empty(xs.size)
     for rows in blocks(xs.size, y.size):
         integral[rows] = np.sum(
@@ -197,8 +223,8 @@ def eval_P2(params: ModelParams, cache: BoundaryCache,
 def cond_lower_bound(mat: np.ndarray) -> float:
     """Largest over smallest row or column norm: sigma_max is at least the
     one and sigma_min at most the other, so this never exceeds cond(mat)."""
-    scaled = mat / np.max(np.abs(mat))
     with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = mat / np.max(np.abs(mat))
         return max(float(np.max(n) / np.min(n)) for n in (
             np.linalg.norm(scaled, axis=0), np.linalg.norm(scaled, axis=1)))
 
@@ -215,23 +241,25 @@ def solve_boundary(params: ModelParams,
     """
     validate(params)
     cache = cache or boundary_cache(params, cfg or QuadConfig())
+    cm = cm or coefficients(params, cache)
     a = params.a
     if a == 0:
         unscaled, cond = np.array([1.0]), 1.0
     else:
-        cm = cm or assemble(params, cache)
         mat = (np.diag(cache.bp.r2 ** np.arange(a, dtype=float))
                - cm.alpha[:a, 1:a + 1])
         rhs = cm.beta[:a] + cm.alpha[:a, 0]
-        # the norm bound refuses most ill-posed systems without an SVD
+        # the norm bound refuses most ill-posed systems without an SVD;
+        # a NaN or infinite entry fails every comparison and is refused
         cond = cond_lower_bound(mat)
-        if not cond > 1e12:
+        if cond <= 1e12:
             cond = float(np.linalg.cond(mat))
-        if cond > 1e12:
-            raise SingularSystem(f"condition number at least {cond:.3e}")
-        unscaled = np.concatenate([[1.0], scipy.linalg.solve(mat, rhs)])
+        if not (cond <= 1e12 and np.all(np.isfinite(rhs))):
+            raise SingularSystem(f"condition number at least {cond:.3e}, "
+                                 "or a non-finite right-hand side")
+        unscaled = np.concatenate([[1.0], np.linalg.solve(mat, rhs)])
 
-    b2_raw = eval_P1(params, cache, unscaled, 1.0)
+    b2_raw = float(cm.p1_one[:a + 1] @ unscaled)
     scale = params.drift / (params.lambda1 * float(unscaled.sum())
                             + params.lambda2 * b2_raw)
     p = scale * unscaled
@@ -248,10 +276,10 @@ def sweep(params: ModelParams, thresholds,
     p, thresholds = params, list(thresholds)
     top = validate(p.with_a(max(thresholds, default=0)))
     cache = boundary_cache(top, cfg)
-    cm = assemble(top, cache) if top.a else None
+    cm = coefficients(top, cache)
     bvecs = [solve_boundary(p.with_a(a), cfg, cache, cm) for a in thresholds]
-    pairs = [BlockingPair(float(bvec.p.sum()), eval_P1(p, cache, bvec, 1.0))
-             for bvec in bvecs]
+    pairs = [BlockingPair(float(b.p.sum()), float(cm.p1_one[:b.p.size] @ b.p))
+             for b in bvecs]
     inf, a0 = isolated_limits(top), baseline_a0(top, cfg)
     return [BlockingReport(
         blocking=pair, p00=bvec.p00, boundary=bvec, baseline_inf=inf,

@@ -195,6 +195,10 @@ BAD_INPUTS = [
     ["prelimit", "--lambda1", "3", "--lambda2", "5", "--mu1", "-1",
      "--nu", "3"],
     ["oracle", *ARGS[:6], "--box", "-5", "3"],
+    ["solve", *ARGS[:6], "--grid-size", "100000000"],
+    *([command, "--lambda1", "inf", *ARGS[2:6], "--a", "2", *box]
+      for command, box in (("solve", []), ("oracle", ["--box", "60", "60"]),
+                           ("compare", ["--box", "60", "60"]))),
 ]
 
 
@@ -205,3 +209,26 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "15", "100000000"])
+def test_bad_grid_size_variable_is_an_error_not_a_traceback(monkeypatch, capsys,
+                                                            value):
+    monkeypatch.setenv("QW_GRID_SIZE", value)
+    code = main(["solve", *ARGS[:6], "--a", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: BadGridSize: QW_GRID_SIZE=")
+    assert "Traceback" not in err
+
+
+def test_grid_size_variable_is_read_at_each_run(monkeypatch, capsys):
+    monkeypatch.delenv("QW_GRID_SIZE", raising=False)
+    argv = ["solve", *ARGS[:6], "--a", "2"]
+    code, out = run(capsys, argv)
+    assert code == 0 and json.loads(out)["diagnostics"]["grid_size"] == 512
+    monkeypatch.setenv("QW_GRID_SIZE", "1024")
+    code, out = run(capsys, argv)
+    assert code == 0 and json.loads(out)["diagnostics"]["grid_size"] == 1024
+    code, out = run(capsys, [*argv, "--grid-size", "64"])
+    assert code == 0 and json.loads(out)["diagnostics"]["grid_size"] == 64

@@ -36,6 +36,13 @@ def test_validate_rejects_nonpositive_rates(kwargs):
         validate(ModelParams(**kwargs))
 
 
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "mu1c1", "mu2c2"])
+def test_validate_rejects_infinite_rates(name):
+    # an infinite rate passes "> 0" and, for lambda1 or lambda2, stability
+    with pytest.raises(NonPositiveRate, match="finite"):
+        validate(ModelParams(**{**vars(BASE), name: float("inf")}))
+
+
 def test_validate_rejects_bad_threshold():
     with pytest.raises(NonPositiveRate):
         validate(ModelParams(3.0, 5.0, 1.0, 2.0, -1))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qwblock.errors import BadGridSize
 from qwblock.quadrature import (BLOCK_ELEMENTS, QuadConfig, blocks,
                                 cosine_grid, cut_hilbert)
 
@@ -12,6 +13,13 @@ def test_config_validation():
         QuadConfig(grid_size=15)
     with pytest.raises(ValueError):
         QuadConfig(grid_size=8)
+
+
+def test_config_caps_the_grid():
+    assert QuadConfig(grid_size=16384).grid_size == 16384
+    for size in (16386, 100_000_000):
+        with pytest.raises(BadGridSize):
+            QuadConfig(grid_size=size)
 
 
 def test_config_with_grid():

@@ -1,17 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qwblock import solver
-from qwblock.boundary import boundary_cache
+from qwblock.boundary import BoundaryCache, boundary_cache
 from qwblock.errors import QwblockError, SingularSystem
 from qwblock.kernel import x_of_theta
 from qwblock.model import ModelParams
 from qwblock.quadrature import QuadConfig
 from qwblock.solver import (BoundaryVector, assemble, baseline_a0, blocking,
-                            blocking_with_estimate, cond_lower_bound, eval_P1,
-                            eval_P2, solve_boundary, sweep)
+                            blocking_with_estimate, coefficients,
+                            cond_lower_bound, eval_P1, eval_P2, solve_boundary,
+                            sweep)
 
 from conftest import BASE, CASES, OVERLOAD2, UNDERLOAD2
 
@@ -326,3 +328,65 @@ def test_sweep_stops_at_the_first_refused_threshold():
     with pytest.raises(QwblockError) as info:
         sweep(BASE, thresholds)
     assert type(info.value) is refused
+
+
+@pytest.mark.parametrize("entry", [("alpha", (0, 1), math.nan),
+                                   ("alpha", (1, 0), math.nan),
+                                   ("beta", (0,), math.nan),
+                                   ("alpha", (1, 2), math.inf)])
+def test_non_finite_systems_are_refused(monkeypatch, entry):
+    # NaN fails every comparison, so "cond > 1e12" alone let it through
+    field, index, value = entry
+
+    def spoiled(params, cache):
+        cm = assemble(params, cache)
+        bad = getattr(cm, field).copy()
+        bad[index] = value
+        return dataclasses.replace(cm, **{field: bad})
+
+    monkeypatch.setattr(solver, "assemble", spoiled)
+    with pytest.raises(SingularSystem):
+        blocking(BASE.with_a(3), CFG)
+
+
+def test_sweep_takes_P1_of_one_from_one_row(monkeypatch):
+    calls = {"eval_P1": 0, "phi1_many": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(solver, "eval_P1", counting("eval_P1", eval_P1))
+    monkeypatch.setattr(BoundaryCache, "phi1_many",
+                        counting("phi1_many", BoundaryCache.phi1_many))
+    assert len(sweep(OVERLOAD2, range(31), CFG)) == 31
+    assert calls == {"eval_P1": 0, "phi1_many": 1}
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 10, 30])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_p1_one_row_equals_eval_P1_at_one(name, a):
+    params = CASES[name].with_a(a)
+    cache = boundary_cache(params)
+    cm = coefficients(params, cache)
+    assert cm.p1_one.shape == (a + 1,)
+    bvec = solve_boundary(params, cache=cache, cm=cm)
+    want = eval_P1(params, cache, bvec, 1.0)
+    assert abs(cm.p1_one @ bvec.p - want) <= 1e-14 * abs(want)
+
+
+def test_critical_second_queue_solves():
+    # lambda2 = mu2c2 puts x(0) = x2 = 1 on the first theta node, where
+    # 1/(1 - x) is infinite; sin(k * 0) = 0 weights that node out of every sum
+    p = ModelParams(1.0, 1.0, 0.5, 1.0, a=5)
+    assert boundary_cache(p).x_theta[0] == 1.0
+    mid = blocking(p)
+    assert mid.normalization_residual < 1e-12
+    below, above = (blocking(ModelParams(1.0, 1.0 + d, 0.5, 1.0, a=5))
+                    for d in (-1e-6, 1e-6))
+    np.testing.assert_allclose(
+        tuple(mid.blocking),
+        0.5 * (np.array(tuple(below.blocking)) + tuple(above.blocking)),
+        rtol=1e-9)
