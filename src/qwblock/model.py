@@ -62,20 +62,31 @@ class BlockingPair:
         yield self.b2
 
 
+def as_threshold(a) -> int:
+    """``a`` as a Python int when it is integral (numpy integers too), not
+    a bool, and non-negative; NonPositiveRate otherwise."""
+    try:
+        value = a.__index__()
+    except (AttributeError, TypeError):
+        value = -1
+    if isinstance(a, bool) or value < 0:
+        raise NonPositiveRate(f"a must be a non-negative integer, got {a!r}")
+    return value
+
+
 def validate(params: ModelParams) -> ModelParams:
     """Check that the rates are finite and positive, and the stability
     condition.
 
     A stationary regime exists iff lambda1 > mu1c1 and
-    mu1c1 + mu2c2 < lambda1 + lambda2.  Returns the params unchanged on
-    success so call sites can chain.
+    mu1c1 + mu2c2 < lambda1 + lambda2.  Returns the params on success,
+    unchanged when ``a`` is already an int, so call sites can chain.
     """
     for name in ("lambda1", "lambda2", "mu1c1", "mu2c2"):
         if not 0.0 < getattr(params, name) < math.inf:
             raise NonPositiveRate(f"{name} must be finite and strictly "
                                   f"positive, got {getattr(params, name)!r}")
-    if not (isinstance(params.a, int) and params.a >= 0):
-        raise NonPositiveRate(f"a must be a non-negative integer, got {params.a!r}")
+    a = as_threshold(params.a)
     if not params.lambda1 > params.mu1c1:
         raise Unstable(
             f"requires lambda1 > mu1*c1 (got {params.lambda1} <= {params.mu1c1})")
@@ -83,7 +94,7 @@ def validate(params: ModelParams) -> ModelParams:
         raise Unstable(
             "requires mu1*c1 + mu2*c2 < lambda1 + lambda2 "
             f"(got {params.mu1c1 + params.mu2c2} >= {params.lambda1 + params.lambda2})")
-    return params
+    return params if type(params.a) is int else params.with_a(a)
 
 
 def isolated_limits(params: ModelParams) -> BlockingPair:

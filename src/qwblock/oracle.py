@@ -20,10 +20,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import BoxTooSmall, NonPositiveRate, StateSpaceTooLarge
-from .model import BlockingPair, ModelParams, validate
+from .model import BlockingPair, ModelParams, as_threshold, validate
 
 BOX_SAFETY = 20.0    # default_box gives each side ~BOX_SAFETY/(1-rho) states
 MAX_STATES = 4_000_000    # largest chain either oracle solves
+# pre-limit window: a DC-1 state is left out when its Erlang mass is below
+WINDOW_LOG = 37.0    # e^-37 = 8.5e-17 of the mode's, under double rounding
 
 
 @dataclass
@@ -70,7 +72,9 @@ def _stationary_from_transitions(n_states: int, rows, cols, rates,
     qt = q.T.tocsc()
     a11 = qt[1:, 1:]
     rhs = -np.asarray(qt[1:, [0]].todense()).ravel()
-    rest = scipy.sparse.linalg.spsolve(a11.tocsc(), rhs)
+    # minimum degree on A^T + A fits the generators' symmetric 5-point pattern
+    rest = scipy.sparse.linalg.spsolve(a11.tocsc(), rhs,
+                                       permc_spec="MMD_AT_PLUS_A")
     pi = np.concatenate([[1.0], rest])
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
@@ -114,7 +118,7 @@ def default_box(params: ModelParams) -> tuple[int, int]:
     service lambda2 + lambda1*P(n1=0).  Each side gets ~BOX_SAFETY/(1-rho)
     states, clipped to [60, 2500].
     """
-    validate(params)
+    params = validate(params)
     rho1 = params.mu1c1 / params.lambda1
     eff2 = params.lambda2 + params.lambda1 * (1.0 - rho1)
     rho2 = params.mu2c2 / eff2
@@ -134,7 +138,7 @@ def solve_limiting_walk(params: ModelParams,
     truncation error.  Raises BoxTooSmall when the rim holds more than
     1e-4 probability.
     """
-    validate(params)
+    params = validate(params)
     n1_max, n2_max = box
 
     def moves(n1, n2):
@@ -170,6 +174,19 @@ def oracle_blocking(params: ModelParams,
     return blocking_from_distribution(solve_limiting_walk(params, box), params)
 
 
+def _window_bottom(load: float, cap: int) -> int:
+    """Lowest m in [0, cap - 1] with Erlang(load) log-pmf within WINDOW_LOG
+    of the mode's; the pmf is log-concave, so bisection finds it."""
+    mode = min(cap, int(load))
+    below, top = -1, max(min(mode, cap - 1), 0)
+    while top - below > 1:
+        mid = (below + top) // 2
+        drop = ((mode - mid) * math.log(load) - math.lgamma(mode + 1)
+                + math.lgamma(mid + 1))
+        below, top = (below, mid) if drop <= WINDOW_LOG else (mid, top)
+    return top
+
+
 def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
                    c1: float, c2: float, a: int, nu: float) -> BlockingPair:
     """Exact blocking of the finite pre-limit chain with scaling factor nu.
@@ -178,6 +195,7 @@ def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
     integral).  A redirected DC-1 request is lost when N1 = C1 and
     C2 - a <= N2 <= C2; DC-2 requests are lost when N2 = C2.  Rates,
     capacities and nu must be positive and finite, a a non-negative int.
+    Overflow never reaches DC 1, so m1 keeps to [_window_bottom, C1].
     """
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2),
                         ("mu1", mu1), ("mu2", mu2), ("c1", c1), ("c2", c2),
@@ -185,26 +203,27 @@ def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
         if not 0.0 < value < math.inf:
             raise NonPositiveRate(f"{name} must be positive and finite, "
                                   f"got {value!r}")
-    if not (isinstance(a, int) and a >= 0):
-        raise NonPositiveRate(f"a must be a non-negative integer, got {a!r}")
+    a = as_threshold(a)
     cap1 = nu * c1
     cap2 = nu * c2
     if abs(cap1 - round(cap1)) > 1e-9 or abs(cap2 - round(cap2)) > 1e-9:
         warnings.warn(f"nu*c = ({cap1}, {cap2}) rounded to integers")
     cap1, cap2 = round(cap1), round(cap2)
     big1, big2 = nu * lambda1, nu * lambda2
+    lo = _window_bottom(big1 / mu1, cap1)
 
-    def moves(m1, m2):
+    def moves(n1, m2):
+        m1 = n1 + lo
         up = big2 * (m2 < cap2) + big1 * ((m1 == cap1) & (m2 < cap2 - a))
         return [(m1 < cap1, +1, 0, big1),
                 (m2 < cap2, 0, +1, up),
-                (m1 > 0, -1, 0, mu1 * m1.astype(float)),
+                (m1 > lo, -1, 0, mu1 * m1.astype(float)),
                 (m2 > 0, 0, -1, mu2 * m2.astype(float))]
 
     # pin near the mode of the independent Erlang product to avoid
     # overflow in the solved probability ratios
-    probs, _ = _box_chain(cap1, cap2, moves, pin=(min(cap1, int(big1 / mu1)),
-                                                  min(cap2, int(big2 / mu2))))
-    b1 = float(probs[cap1, max(cap2 - a, 0):].sum())
+    probs, _ = _box_chain(cap1 - lo, cap2, moves, pin=(
+        min(cap1, int(big1 / mu1)) - lo, min(cap2, int(big2 / mu2))))
+    b1 = float(probs[cap1 - lo, max(cap2 - a, 0):].sum())
     b2 = float(probs[:, cap2].sum())
     return BlockingPair(b1, b2)

@@ -239,7 +239,7 @@ def solve_boundary(params: ModelParams,
     threshold >= a (by default at a).  Every pipeline quantity is linear
     in p(0,0), so the normalization to the drift fixes the seed.
     """
-    validate(params)
+    params = validate(params)
     cache = cache or boundary_cache(params, cfg or QuadConfig())
     cm = cm or coefficients(params, cache)
     a = params.a

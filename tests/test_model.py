@@ -48,6 +48,14 @@ def test_validate_rejects_bad_threshold():
         validate(ModelParams(3.0, 5.0, 1.0, 2.0, -1))
 
 
+def test_validate_gives_integral_thresholds_as_int():
+    p = validate(BASE.with_a(np.int64(7)))
+    assert p == BASE.with_a(7) and type(p.a) is int
+    for bad in (True, False, np.True_, 2.0, np.float64(2.0), np.int64(-1)):
+        with pytest.raises(NonPositiveRate, match="integer"):
+            validate(BASE.with_a(bad))
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(lambda1=1.0, lambda2=5.0, mu1c1=1.0, mu2c2=2.0),   # lambda1 == mu1c1
     dict(lambda1=0.5, lambda2=5.0, mu1c1=1.0, mu2c2=2.0),   # lambda1 < mu1c1

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from qwblock.errors import BoxTooSmall, NonPositiveRate, StateSpaceTooLarge
-from qwblock.model import ModelParams
-from qwblock.oracle import (_stationary_from_transitions,
-                            blocking_from_distribution, default_box,
-                            oracle_blocking, solve_limiting_walk,
+from qwblock.model import BlockingPair, ModelParams
+from qwblock.oracle import (_box_chain, _stationary_from_transitions,
+                            _window_bottom, blocking_from_distribution,
+                            default_box, oracle_blocking, solve_limiting_walk,
                             solve_prelimit)
 
 from conftest import BASE, UNDERLOAD2
@@ -88,17 +88,78 @@ def test_oracle_blocking_wrapper(golden):
                                rtol=1e-12)
 
 
+def full_prelimit(lambda1, lambda2, mu1, mu2, c1, c2, a, nu):
+    """The pre-limit chain on all of {0..C1} x {0..C2}, with no DC-1
+    window: the reference the windowed solve must reproduce."""
+    cap1, cap2 = round(nu * c1), round(nu * c2)
+    big1, big2 = nu * lambda1, nu * lambda2
+
+    def moves(m1, m2):
+        up = big2 * (m2 < cap2) + big1 * ((m1 == cap1) & (m2 < cap2 - a))
+        return [(m1 < cap1, +1, 0, big1),
+                (m2 < cap2, 0, +1, up),
+                (m1 > 0, -1, 0, mu1 * m1.astype(float)),
+                (m2 > 0, 0, -1, mu2 * m2.astype(float))]
+
+    probs, _ = _box_chain(cap1, cap2, moves, pin=(min(cap1, int(big1 / mu1)),
+                                                  min(cap2, int(big2 / mu2))))
+    return BlockingPair(float(probs[cap1, max(cap2 - a, 0):].sum()),
+                        float(probs[:, cap2].sum()))
+
+
+PRELIMIT_RATES = {
+    "base": (3.0, 5.0, 1.0, 1.0, 1.0, 2.0),
+    "underload2": (1.2, 9.9, 1.0, 10.0, 1.0, 1.0),
+    "overload2": (1.2, 11.0, 1.0, 10.0, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRELIMIT_RATES))
+def test_prelimit_window_equals_full_chain(name):
+    rates = PRELIMIT_RATES[name]
+    for nu in (25, 50, 100):
+        for a in (2, 5, 10):
+            window = solve_prelimit(*rates, a=a, nu=nu)
+            full = full_prelimit(*rates, a=a, nu=nu)
+            np.testing.assert_allclose(tuple(window), tuple(full),
+                                       rtol=0, atol=1e-14)
+
+
+def test_prelimit_window_equals_full_chain_below_a_full_dc1():
+    # lambda1 < mu1 c1: the Erlang mode of DC 1 lies below its capacity,
+    # so the window has states on both sides of the mode
+    rates = (1.5, 5.0, 1.0, 1.0, 2.0, 2.0)
+    for nu in (30, 50):
+        load, cap1 = nu * rates[0] / rates[2], round(nu * rates[4])
+        assert 0 < _window_bottom(load, cap1) < int(load) < cap1
+        for a in (2, 10):
+            window = solve_prelimit(*rates, a=a, nu=nu)
+            full = full_prelimit(*rates, a=a, nu=nu)
+            np.testing.assert_allclose(tuple(window), tuple(full),
+                                       rtol=0, atol=1e-14)
+
+
+def test_prelimit_window_from_zero_is_the_full_chain():
+    rates = PRELIMIT_RATES["base"]
+    assert _window_bottom(10 * rates[0] / rates[2], 10) == 0
+    for a in (0, 2, 5):
+        assert (solve_prelimit(*rates, a=a, nu=10)
+                == full_prelimit(*rates, a=a, nu=10))
+
+
 def test_prelimit_reduces_to_independent_loss_systems():
     # a >= capacity of DC 2 means overflow is never admitted, so the two
-    # DCs decouple into independent Erlang loss systems
-    nu = 3.0
-    lam1, lam2, mu1, mu2, c1, c2 = 0.8, 0.5, 1.0, 1.0, 1.0, 1.0
-    pair = solve_prelimit(lam1, lam2, mu1, mu2, c1, c2, a=3, nu=nu)
-    np.testing.assert_allclose(pair.b2, erlang_b(nu * lam2 / mu2, 3),
-                               rtol=1e-10)
-    # a redirected request is lost whenever DC 1 is full here
-    np.testing.assert_allclose(pair.b1, erlang_b(nu * lam1 / mu1, 3),
-                               rtol=1e-10)
+    # DCs decouple into independent Erlang loss systems; at nu = 2000 the
+    # chain runs on a window of DC 1's top 35 states
+    for rates, a, nu in (((0.8, 0.5, 1.0, 1.0, 1.0, 1.0), 3, 3.0),
+                         ((3.0, 5.0, 1.0, 1.0, 1.0, 1.0), 2000, 2000.0)):
+        lam1, lam2, mu1, mu2, c1, c2 = rates
+        pair = solve_prelimit(lam1, lam2, mu1, mu2, c1, c2, a=a, nu=nu)
+        np.testing.assert_allclose(
+            pair.b2, erlang_b(nu * lam2 / mu2, round(nu * c2)), rtol=1e-10)
+        # a redirected request is lost whenever DC 1 is full here
+        np.testing.assert_allclose(
+            pair.b1, erlang_b(nu * lam1 / mu1, round(nu * c1)), rtol=1e-10)
 
 
 def test_prelimit_rounding_warns():
@@ -107,14 +168,21 @@ def test_prelimit_rounding_warns():
 
 
 def test_prelimit_rejects_huge_state_space():
+    # DC 1 keeps a window of 35 states, DC 2 all 300,001
     with pytest.raises(StateSpaceTooLarge):
-        solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 1.0, a=0, nu=3000.0)
+        solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 100.0, a=0, nu=3000.0)
+
+
+def test_prelimit_takes_numpy_integer_thresholds():
+    args = (3.0, 5.0, 1.0, 1.0, 1.0, 2.0)
+    assert (solve_prelimit(*args, a=np.int64(2), nu=10.0)
+            == solve_prelimit(*args, a=2, nu=10.0))
 
 
 @pytest.mark.parametrize("bad", [
     {"lambda1": 0.0}, {"lambda2": -1.0}, {"mu1": -1.0}, {"mu2": math.inf},
     {"c1": 0.0}, {"c2": math.nan}, {"nu": 0.0}, {"nu": math.nan},
-    {"nu": math.inf}, {"a": -3}, {"a": 1.5},
+    {"nu": math.inf}, {"a": -3}, {"a": 1.5}, {"a": True}, {"a": np.True_},
 ])
 def test_prelimit_rejects_invalid_input(bad):
     args = {"lambda1": 0.8, "lambda2": 0.5, "mu1": 1.0, "mu2": 1.0,
@@ -131,11 +199,14 @@ def test_limiting_walk_rejects_box_side_below_one(box):
 
 @pytest.mark.parametrize("solve", [
     lambda: solve_limiting_walk(BASE, (2000, 2000)),
-    lambda: solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 1.0, a=0, nu=2000.0),
+    lambda: solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 100.0, a=0, nu=2000.0),
+    lambda: solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 1.0, a=0, nu=1e7),
 ])
 def test_over_cap_chains_are_refused_before_allocating(solve):
-    # 2001 x 2001 states is just above the cap; building its index grid
-    # alone would trace 32 MB
+    # 2001 x 2001 walk states, or a pre-limit window of 35 x 200,001, is
+    # above the cap, and building its index grid alone would trace 32 MB
+    # or more; at nu = 1e7 an array over DC 1's 0..C1 would trace 80 MB,
+    # so the window bottom is found without one
     tracemalloc.start()
     try:
         with pytest.raises(StateSpaceTooLarge):

@@ -6,7 +6,7 @@ import pytest
 
 from qwblock import solver
 from qwblock.boundary import BoundaryCache, boundary_cache
-from qwblock.errors import QwblockError, SingularSystem
+from qwblock.errors import NonPositiveRate, QwblockError, SingularSystem
 from qwblock.kernel import x_of_theta
 from qwblock.model import ModelParams
 from qwblock.quadrature import QuadConfig
@@ -390,3 +390,20 @@ def test_critical_second_queue_solves():
         tuple(mid.blocking),
         0.5 * (np.array(tuple(below.blocking)) + tuple(above.blocking)),
         rtol=1e-9)
+
+
+def test_sweep_takes_numpy_integer_thresholds():
+    numpy_reports = sweep(BASE, np.arange(11), CFG)
+    int_reports = sweep(BASE, range(11), CFG)
+    for got, want in zip(numpy_reports, int_reports, strict=True):
+        assert got.blocking == want.blocking and got.p00 == want.p00
+        assert np.array_equal(got.boundary.p, want.boundary.p)
+        assert got.diagnostics == want.diagnostics
+
+
+def test_blocking_takes_integral_thresholds_but_not_bool():
+    assert (blocking(BASE.with_a(np.int64(2)), CFG).blocking
+            == blocking(BASE.with_a(2), CFG).blocking)
+    for flag in (True, np.True_):
+        with pytest.raises(NonPositiveRate, match="integer"):
+            blocking(BASE.with_a(flag), CFG)
