@@ -6,7 +6,7 @@ Markov-chain solves."""
 __version__ = "0.1.0"
 
 from .model import BlockingPair, ModelParams, isolated_limits, validate
-from .oracle import (blocking_from_distribution, default_box, oracle_blocking,
+from .oracle import (blocking_from_distribution, default_box,
                      solve_limiting_walk, solve_prelimit)
 from .quadrature import QuadConfig
 from .solver import (BlockingReport, baseline_a0, blocking,
@@ -16,6 +16,6 @@ __all__ = [
     "BlockingPair", "BlockingReport", "ModelParams", "QuadConfig",
     "baseline_a0", "blocking", "blocking_from_distribution",
     "blocking_with_estimate", "default_box", "isolated_limits",
-    "oracle_blocking", "solve_boundary", "solve_limiting_walk",
-    "solve_prelimit", "sweep", "validate",
+    "solve_boundary", "solve_limiting_walk", "solve_prelimit", "sweep",
+    "validate",
 ]

@@ -3,10 +3,15 @@
 Two chains are solved exactly (up to truncation): the limiting
 quarter-plane walk restricted to a finite box with outward transitions
 suppressed, and the original finite-capacity two-DC chain before the
-many-servers rescaling.  Both go through a sparse direct solve of the
-balance equations with a normalization row; the stationarity residual
-and the probability mass sitting on the truncation rim are reported so
-callers can judge the truncation error instead of trusting it.
+many-servers rescaling.  The pre-limit chain, and a walk whose box the
+level solve does not fit, go through a sparse direct solve of the
+balance equations; the walk otherwise is solved level by level in the
+eigenbasis of its n2 generator.  The stationarity residual and the
+probability mass sitting on the truncation rim are reported so callers
+can judge the truncation error instead of trusting it.
+
+SciPy is imported by the functions that use it, so importing the package
+(or running the analytic solver) loads none of it.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import BoxTooSmall, NonPositiveRate, StateSpaceTooLarge
 from .model import BlockingPair, ModelParams, as_threshold, validate
@@ -26,6 +29,14 @@ BOX_SAFETY = 20.0    # default_box gives each side ~BOX_SAFETY/(1-rho) states
 MAX_STATES = 4_000_000    # largest chain either oracle solves
 # pre-limit window: a DC-1 state is left out when its Erlang mass is below
 WINDOW_LOG = 37.0    # e^-37 = 8.5e-17 of the mode's, under double rounding
+# The level solve keeps two dense (N2+1)-square arrays, 144 MB at this cap
+# on N2 + 1; default_box gives N2 + 1 <= 2,701 for a <= 200.
+LEVEL_MAX_PHASES = 3_000
+# Its eigenbasis is scaled by T2's symmetriser D_k = (mu2c2/lambda2)^(k/2).
+# Growth of D_N2 past 1e6 costs digits (errors in B up to 4e-12 at 1e8,
+# 5e-3 at 1e12); decay below 1e-150 would leave D^2, which the refinement
+# divides by, outside the normal doubles.  Other boxes take the sparse LU.
+LEVEL_LOG_SPREAD = (math.log(1e-150), math.log(1e6))
 
 
 @dataclass
@@ -55,6 +66,9 @@ def _stationary_from_transitions(n_states: int, rows, cols, rates,
     distribution so the solved ratios stay within floating-point range.
     Returns (pi, residual) with residual the max balance violation.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     if pin != 0:
         # relabel so the pinned state is index 0
         swap = np.arange(n_states)
@@ -84,31 +98,154 @@ def _stationary_from_transitions(n_states: int, rows, cols, rates,
     return pi, residual
 
 
-def _box_chain(side1: int, side2: int, moves, pin=(0, 0)):
-    """Stationary vector of a chain on the box {0..side1} x {0..side2}.
+def _span(delta: int, size: int) -> tuple[slice, slice]:
+    """(targets, sources) along one axis of length ``size`` for a step
+    of ``delta``: the sources are the indices whose step stays inside."""
+    return (slice(max(delta, 0), size + min(delta, 0)),
+            slice(max(-delta, 0), size - max(delta, 0)))
+
+
+def _box_moves(side1: int, side2: int, moves) -> list:
+    """``moves`` evaluated on the box {0..side1} x {0..side2}.
 
     ``moves(n1, n2)`` lists (mask, delta1, delta2, rate) per kind of
-    transition, rate a scalar or an array over the states.  ``pin`` is
-    the state pinned in the solve.  Returns (probs on the box, residual).
+    transition, rate a scalar or an array over the states; this returns
+    the same with every rate an array.  Refuses a box side below 1, a box
+    above MAX_STATES before allocating it, and a move whose mask lets a
+    state leave the box.
     """
     if min(side1, side2) < 1:
         raise BoxTooSmall(f"box sides ({side1}, {side2}) must be at least 1")
     if (side1 + 1) * (side2 + 1) > MAX_STATES:
         raise StateSpaceTooLarge(f"{(side1 + 1) * (side2 + 1)} states "
                                  f"exceeds {MAX_STATES:.0e}")
-    w = side2 + 1
-    n1, n2 = (g.ravel() for g in np.meshgrid(
-        np.arange(side1 + 1), np.arange(w), indexing="ij"))
-    idx = n1 * w + n2
-    rows, cols, rates = [], [], []
+    n1, n2 = np.meshgrid(np.arange(side1 + 1), np.arange(side2 + 1),
+                         indexing="ij")
+    out = []
     for mask, delta1, delta2, rate in moves(n1, n2):
+        inside = mask[_span(delta1, side1 + 1)[1], _span(delta2, side2 + 1)[1]]
+        if np.count_nonzero(inside) != np.count_nonzero(mask):
+            raise ValueError(f"move ({delta1}, {delta2}) leaves the box "
+                             f"{{0..{side1}}} x {{0..{side2}}}")
+        out.append((mask, delta1, delta2, np.broadcast_to(rate, mask.shape)))
+    return out
+
+
+def _balance(probs: np.ndarray, box_moves: list) -> np.ndarray:
+    """pi Q of the chain ``box_moves`` (from _box_moves), by array shifts."""
+    flow = np.zeros_like(probs)
+    for mask, delta1, delta2, rate in box_moves:
+        out = np.where(mask, probs * rate, 0.0)
+        (to1, from1), (to2, from2) = (_span(delta1, probs.shape[0]),
+                                      _span(delta2, probs.shape[1]))
+        flow[to1, to2] += out[from1, from2]
+        flow -= out
+    return flow
+
+
+def _box_chain(side1: int, side2: int, moves, pin=(0, 0)):
+    """Stationary vector of a chain on the box {0..side1} x {0..side2}.
+
+    ``moves`` is as for _box_moves; ``pin`` is the state pinned in the
+    solve.  Returns (probs on the box, residual).
+    """
+    box_moves = _box_moves(side1, side2, moves)
+    w = side2 + 1
+    idx = np.arange((side1 + 1) * w).reshape(side1 + 1, w)
+    rows, cols, rates = [], [], []
+    for mask, delta1, delta2, rate in box_moves:
         rows.append(idx[mask])
         cols.append(idx[mask] + delta1 * w + delta2)
-        rates.append(np.broadcast_to(rate, mask.shape)[mask])
+        rates.append(rate[mask])
     pi, residual = _stationary_from_transitions(
         idx.size, np.concatenate(rows), np.concatenate(cols),
         np.concatenate(rates), pin=pin[0] * w + pin[1])
     return pi.reshape(side1 + 1, w), residual
+
+
+def _walk_moves(params: ModelParams, n1_max: int, n2_max: int):
+    """The limiting walk's moves on the box, outward ones suppressed."""
+    def moves(n1, n2):
+        down = params.lambda2 + params.lambda1 * ((n1 == 0) & (n2 > params.a))
+        return [(n1 < n1_max, +1, 0, params.mu1c1),
+                (n2 < n2_max, 0, +1, params.mu2c2),
+                (n1 > 0, -1, 0, params.lambda1),
+                (n2 > 0, 0, -1, down)]
+    return moves
+
+
+def _level_fits(params: ModelParams, n2_max: int) -> bool:
+    """Whether the level solve takes a box with n2 side ``n2_max``."""
+    spread = 0.5 * n2_max * math.log(params.mu2c2 / params.lambda2)
+    return (n2_max < LEVEL_MAX_PHASES
+            and LEVEL_LOG_SPREAD[0] <= spread <= LEVEL_LOG_SPREAD[1])
+
+
+def _level_walk(params: ModelParams, n1_max: int, n2_max: int):
+    """Stationary vector of the walk on the box, level n1 by level.
+
+    Every level n1 >= 1 has up-block mu1c1 I, down-block lambda1 I and
+    diagonal block T2 - c I, with T2 the n2 birth-death generator; the
+    threshold acts at level 0 only.  In T2's eigenbasis the levels
+    decouple into one three-term recurrence in n1 per mode, solved by
+    backward ratios, and one dense (N2+1)-square system is left at level 0
+    (spectral expansion: Mitrani & Chakka, Perf. Eval. 23, 1995).  One
+    step of iterative refinement follows.  Returns (probs, residual).
+    """
+    box_moves = _box_moves(n1_max, n2_max, _walk_moves(params, n1_max, n2_max))
+    import scipy.linalg
+
+    p, q = params.mu1c1, params.lambda1
+    up, down = params.mu2c2, params.lambda2
+    k = np.arange(n2_max + 1)
+    # D T2 D^-1 is symmetric tridiagonal for D = diag(sym); eigh_tridiagonal's
+    # default driver (stemr) is quadratic in N2 ("stev" took 17 s at 2,030)
+    sym = np.exp(0.5 * math.log(up / down) * k)
+    theta, vecs = scipy.linalg.eigh_tridiagonal(
+        -(up * (k < n2_max) + down * (k > 0)),
+        np.full(n2_max, math.sqrt(up * down)))
+    left = vecs.T    # scaled in place into W^T D, whose rows are the left
+    left *= sym      # eigenvectors of T2: left @ T2 = theta * left
+    # A level's coordinates x_n on ``left`` obey, per mode, x_n = s_n x_(n-1)
+    # + t_n for n = 1..N1 (t = 0 in the homogeneous solve); s_n is in (0, rho1]
+    s = np.zeros((n1_max + 2, k.size))
+    s[0] = 1.0
+    for n in range(n1_max, 0, -1):
+        s[n] = p / (p * (n < n1_max) + q - theta - q * s[n + 1])
+    cum = np.cumprod(s[:-1], axis=0)
+    mass = left.sum(axis=1)    # probability a unit coordinate carries
+    # Level-0 balance on x_0: left (T2 + E - p I) + lambda1 diag(s_1) left,
+    # with E the lambda1 down-moves above a; the column of state (0, 0)
+    # gives way to the total probability
+    level0 = (theta - p + q * s[1])[:, None] * left
+    level0[:, params.a + 1:] -= q * left[:, params.a + 1:]
+    level0[:, params.a:-1] += q * left[:, params.a + 1:]
+    level0[:, 0] = mass * cum.sum(axis=0)
+    lu = scipy.linalg.lu_factor(level0, overwrite_a=True, check_finite=False)
+
+    def solve(rhs: np.ndarray | None, total: float) -> np.ndarray:
+        """Coordinates of the pi with pi Q = rhs (None for 0), sum total."""
+        x = np.zeros_like(s)    # the part of x_n that does not scale with x_0
+        head = np.zeros(k.size)
+        if rhs is not None:
+            beta = (rhs / sym**2) @ left.T    # rhs @ inverse of left
+            t = np.zeros_like(s)
+            for n in range(n1_max, 0, -1):
+                t[n] = (q * t[n + 1] - beta[n]) * s[n] / p
+            for n in range(1, n1_max + 1):
+                x[n] = s[n] * x[n - 1] + t[n]
+            head = rhs[0] - q * t[1] @ left
+        head[0] = total - (x @ mass).sum()
+        x0 = scipy.linalg.lu_solve(lu, head, trans=1, check_finite=False)
+        return cum * x0 + x[:-1]
+
+    probs = solve(None, 1.0) @ left
+    # the correction goes onto probs, not onto the coordinates: rebuilding
+    # probs from them would bring back the rounding it corrects
+    probs += solve(-_balance(probs, box_moves), 1.0 - probs.sum()) @ left
+    probs = np.maximum(probs, 0.0)
+    probs /= probs.sum()
+    return probs, float(np.max(np.abs(_balance(probs, box_moves))))
 
 
 def default_box(params: ModelParams) -> tuple[int, int]:
@@ -135,20 +272,17 @@ def solve_limiting_walk(params: ModelParams,
 
     Outward transitions at the rim are suppressed (reflecting
     truncation), which keeps a proper generator; the rim mass bounds the
-    truncation error.  Raises BoxTooSmall when the rim holds more than
-    1e-4 probability.
+    truncation error.  The box is solved level by level when
+    _level_fits, by sparse LU otherwise.  Raises BoxTooSmall when the rim
+    holds more than 1e-4 probability.
     """
     params = validate(params)
     n1_max, n2_max = box
-
-    def moves(n1, n2):
-        down = params.lambda2 + params.lambda1 * ((n1 == 0) & (n2 > params.a))
-        return [(n1 < n1_max, +1, 0, params.mu1c1),
-                (n2 < n2_max, 0, +1, params.mu2c2),
-                (n1 > 0, -1, 0, params.lambda1),
-                (n2 > 0, 0, -1, down)]
-
-    probs, residual = _box_chain(n1_max, n2_max, moves)
+    if _level_fits(params, n2_max):
+        probs, residual = _level_walk(params, n1_max, n2_max)
+    else:
+        probs, residual = _box_chain(n1_max, n2_max,
+                                     _walk_moves(params, n1_max, n2_max))
     boundary_mass = float(probs[-1, :].sum() + probs[:, -1].sum()
                           - probs[-1, -1])
     if boundary_mass > 1e-4:
@@ -166,12 +300,6 @@ def blocking_from_distribution(dist: TruncatedDistribution,
     b1 = float(dist.probs[0, :params.a + 1].sum())
     b2 = float(dist.probs[:, 0].sum())
     return BlockingPair(b1, b2)
-
-
-def oracle_blocking(params: ModelParams,
-                    box: tuple[int, int] = (400, 400)) -> BlockingPair:
-    """Convenience wrapper: truncated solve plus blocking extraction."""
-    return blocking_from_distribution(solve_limiting_walk(params, box), params)
 
 
 def _window_bottom(load: float, cap: int) -> int:

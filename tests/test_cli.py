@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,3 +236,20 @@ def test_grid_size_variable_is_read_at_each_run(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["diagnostics"]["grid_size"] == 1024
     code, out = run(capsys, [*argv, "--grid-size", "64"])
     assert code == 0 and json.loads(out)["diagnostics"]["grid_size"] == 64
+
+
+def test_analytic_path_loads_no_scipy():
+    # SciPy serves only the oracle, which imports it when it runs; a fresh
+    # interpreter running the analytic library and CLI solve must not load it
+    code = ("import sys\n"
+            "import qwblock\n"
+            "from qwblock import blocking, cli\n"
+            "blocking(qwblock.ModelParams(3.0, 5.0, 1.0, 2.0, 2))\n"
+            f"assert cli.main(['solve', *{ARGS!r}, '--a', '2']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "[]"
