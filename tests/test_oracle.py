@@ -125,6 +125,16 @@ def test_walk_past_the_level_rule_takes_the_box_chain(params, box):
     assert np.array_equal(dist.probs, ref) and dist.residual == residual
 
 
+def test_oracle_blocking_wrapper(golden):
+    # the composition that replaced the deleted oracle_blocking wrapper,
+    # and that the README library example uses: base a = 0 on its golden box
+    row = golden[("base", 0)]
+    dist = solve_limiting_walk(BASE, tuple(row["box"]))
+    pair = blocking_from_distribution(dist, BASE)
+    np.testing.assert_allclose(tuple(pair), (row["B1"], row["B2"]),
+                               rtol=1e-12)
+
+
 def full_prelimit(lambda1, lambda2, mu1, mu2, c1, c2, a, nu):
     """The pre-limit chain on all of {0..C1} x {0..C2}, with no DC-1
     window: the reference the windowed solve must reproduce."""
