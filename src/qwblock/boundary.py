@@ -96,7 +96,7 @@ def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
             "secondary pole of the Phi1 integrand enters the cut")
     # Theta1 = atan2(., q1 + 2*lambda1) vanishes at the ends
     # iff q1 + 2*lambda1 > 0 there
-    ends = np.array(bp.y_cut)
+    ends = np.array((bp.y1, bp.y2))
     if np.any(mu2 * ends * ends - params.rate_sum * ends + lam2
               + 2.0 * params.lambda1 <= 0.0):
         raise NonVanishingPhase(

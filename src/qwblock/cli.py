@@ -24,7 +24,7 @@ from . import __version__
 from .errors import BadGridSize, QwblockError
 from .model import (CONFIG_KEYS, ModelParams, params_from_json, read_config,
                     validate)
-from .oracle import (default_box, blocking_from_distribution, solve_limiting_walk,
+from .oracle import (blocking_from_distribution, solve_limiting_walk,
                      solve_prelimit)
 from .quadrature import QuadConfig
 from .solver import blocking, sweep
@@ -80,10 +80,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _box(args, params) -> tuple[int, int]:
-    return tuple(args.box) if args.box else default_box(params)
-
-
 def cmd_solve(args) -> int:
     params = _params(args)
     report = blocking(params, _cfg(args))
@@ -105,7 +101,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     params = _params(args)
-    dist = solve_limiting_walk(params, _box(args, params))
+    dist = solve_limiting_walk(params, args.box)
     pair = blocking_from_distribution(dist, params)
     doc = {
         "params": {"lambda1": params.lambda1, "lambda2": params.lambda2,
@@ -136,7 +132,7 @@ def cmd_prelimit(args) -> int:
 def cmd_compare(args) -> int:
     params = _params(args)
     rep = blocking(params, _cfg(args))
-    dist = solve_limiting_walk(params, _box(args, params))
+    dist = solve_limiting_walk(params, args.box)
     pair = blocking_from_distribution(dist, params)
     d1 = abs(rep.blocking.b1 - pair.b1)
     d2 = abs(rep.blocking.b2 - pair.b2)

@@ -3,8 +3,7 @@
 Everything here is closed form: the bivariate kernel K(x, y), its two
 discriminants, the four-plus-four real branch points, the algebraic root
 functions X0/X1 and Y0/Y1 (one vectorized implementation behind both),
-the theta-parametrization of the cut [x1, x2], and Chebyshev polynomials of
-the second kind.
+and the theta-parametrization of the cut [x1, x2].
 
 Branch convention: sigma1 (the square root of the first discriminant) is
 the product of the four principal square roots sqrt(y - y_i), scaled so
@@ -54,14 +53,6 @@ class BranchPoints:
     x4: float
     r1: float
     r2: float
-
-    @property
-    def y_cut(self):
-        return self.y1, self.y2
-
-    @property
-    def x_cut(self):
-        return self.x1, self.x2
 
 
 def kernel_value(params: ModelParams, x, y):
@@ -180,34 +171,3 @@ def x_of_theta(params: ModelParams, theta):
         raise NegativeDiscriminant("delta1(theta) < 0 for a stable parameter set")
     x = (c - np.sqrt(np.maximum(delta1, 0.0))) / (2.0 * params.mu1c1)
     return x if x.ndim else float(x)
-
-
-def theta2_of_x(params: ModelParams, x, bp: BranchPoints | None = None):
-    """Inverse of x_of_theta on [x1, x2], with sin(theta2) >= 0.
-
-    Defined so that Y0(x + 0i) = r2 * exp(-i*theta2(x)).
-    """
-    bp = bp or branch_points(params)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < bp.x1 - 1e-12) or np.any(x > bp.x2 + 1e-12):
-        raise ValueError(f"x outside [{bp.x1}, {bp.x2}]")
-    s = params.rate_sum
-    q2 = params.mu1c1 * x * x - s * x + params.lambda1
-    denom = 2.0 * x * math.sqrt(params.mu2c2 * params.lambda2)
-    cos_t = np.clip(-q2 / denom, -1.0, 1.0)
-    out = np.arccos(cos_t)
-    return out if out.ndim else float(out)
-
-
-def chebyshev_u(n: int, t):
-    """Chebyshev polynomial of the second kind U_n(t), by recurrence."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    t = np.asarray(t, dtype=float)
-    u_prev = np.ones_like(t)
-    if n == 0:
-        return u_prev if u_prev.ndim else float(u_prev)
-    u = 2.0 * t
-    for _ in range(n - 1):
-        u_prev, u = u, 2.0 * t * u - u_prev
-    return u if u.ndim else float(u)

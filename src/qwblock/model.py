@@ -121,7 +121,9 @@ def read_config(source) -> dict:
     mapping or from the JSON file at the path ``source``.
 
     Raises QwblockError for an unreadable file, malformed JSON, a document
-    that is not an object, or a missing or non-numeric key.
+    that is not an object, or a missing or non-numeric key, and
+    NonPositiveRate for an ``a`` that as_threshold refuses (an integral
+    float such as 2.0 is taken as 2).
     """
     try:
         if isinstance(source, (str, os.PathLike)):
@@ -129,8 +131,11 @@ def read_config(source) -> dict:
                 source = json.load(fh)
         if not isinstance(source, dict):
             raise QwblockError("the configuration is not a JSON object")
+        a = source.get("a", 0)
+        if isinstance(a, float) and a.is_integer():
+            a = int(a)
         return {**{k: float(source[k]) for k in CONFIG_KEYS},
-                "a": int(source.get("a", 0))}
+                "a": as_threshold(a)}
     except KeyError as exc:
         raise QwblockError(f"configuration key {exc} is missing") from exc
     except (OSError, TypeError, ValueError) as exc:

@@ -3,12 +3,14 @@
 Two chains are solved exactly (up to truncation): the limiting
 quarter-plane walk restricted to a finite box with outward transitions
 suppressed, and the original finite-capacity two-DC chain before the
-many-servers rescaling.  The pre-limit chain, and a walk whose box the
-level solve does not fit, go through a sparse direct solve of the
-balance equations; the walk otherwise is solved level by level in the
-eigenbasis of its n2 generator.  The stationarity residual and the
-probability mass sitting on the truncation rim are reported so callers
-can judge the truncation error instead of trusting it.
+many-servers rescaling.  Each is one list of moves on a box
+(_box_moves), from which _balance gives pi Q.  The pre-limit chain, and
+a walk whose box the level solve does not fit, take one sparse LU of Q^T
+with the pinned state's balance equation replaced in place; the walk
+otherwise is solved level by level in the eigenbasis of its n2
+generator.  Both paths report the residual max |pi Q| from _balance and
+the probability mass on the truncation rim, so callers can judge the
+truncation error instead of trusting it.
 
 SciPy is imported by the functions that use it, so importing the package
 (or running the analytic solver) loads none of it.
@@ -17,6 +19,7 @@ SciPy is imported by the functions that use it, so importing the package
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -47,55 +50,6 @@ class TruncatedDistribution:
     probs: np.ndarray          # shape (n1_max+1, n2_max+1)
     boundary_mass: float
     residual: float
-    a: int
-
-    def marginal_n1(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def marginal_n2(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
-
-def _stationary_from_transitions(n_states: int, rows, cols, rates,
-                                 pin: int = 0):
-    """Stationary vector of a CTMC given off-diagonal transition triplets.
-
-    The balance equations have rank n-1, so pi[pin] is fixed to 1, that
-    state's equation dropped, the rest solved by sparse LU, and the
-    result normalized.  ``pin`` should sit near the mode of the
-    distribution so the solved ratios stay within floating-point range.
-    Returns (pi, residual) with residual the max balance violation.
-    """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    if pin != 0:
-        # relabel so the pinned state is index 0
-        swap = np.arange(n_states)
-        swap[0], swap[pin] = pin, 0
-        rows, cols = swap[rows], swap[cols]
-    out_rate = np.zeros(n_states)
-    np.add.at(out_rate, rows, rates)
-    q = scipy.sparse.coo_matrix(
-        (np.concatenate([rates, -out_rate]),
-         (np.concatenate([rows, np.arange(n_states)]),
-          np.concatenate([cols, np.arange(n_states)]))),
-        shape=(n_states, n_states)).tocsr()
-    # rank deficiency is exactly one: pin pi[0] = 1, drop equation 0,
-    # solve the remaining sparse system, then normalize
-    qt = q.T.tocsc()
-    a11 = qt[1:, 1:]
-    rhs = -np.asarray(qt[1:, [0]].todense()).ravel()
-    # minimum degree on A^T + A fits the generators' symmetric 5-point pattern
-    rest = scipy.sparse.linalg.spsolve(a11.tocsc(), rhs,
-                                       permc_spec="MMD_AT_PLUS_A")
-    pi = np.concatenate([[1.0], rest])
-    pi = np.maximum(pi, 0.0)
-    pi /= pi.sum()
-    residual = float(np.max(np.abs(pi @ q)))
-    if pin != 0:
-        pi[[0, pin]] = pi[[pin, 0]]
-    return pi, residual
 
 
 def _span(delta: int, size: int) -> tuple[slice, slice]:
@@ -110,10 +64,14 @@ def _box_moves(side1: int, side2: int, moves) -> list:
 
     ``moves(n1, n2)`` lists (mask, delta1, delta2, rate) per kind of
     transition, rate a scalar or an array over the states; this returns
-    the same with every rate an array.  Refuses a box side below 1, a box
-    above MAX_STATES before allocating it, and a move whose mask lets a
-    state leave the box.
+    the same with every rate an array.  Refuses a box side that is not an
+    integer or is below 1, a box above MAX_STATES before allocating it,
+    and a move whose mask lets a state leave the box.
     """
+    if not all(isinstance(side, numbers.Integral) and not isinstance(side, bool)
+               for side in (side1, side2)):
+        raise NonPositiveRate(f"box sides ({side1!r}, {side2!r}) must be "
+                              "integers")
     if min(side1, side2) < 1:
         raise BoxTooSmall(f"box sides ({side1}, {side2}) must be at least 1")
     if (side1 + 1) * (side2 + 1) > MAX_STATES:
@@ -146,21 +104,40 @@ def _balance(probs: np.ndarray, box_moves: list) -> np.ndarray:
 def _box_chain(side1: int, side2: int, moves, pin=(0, 0)):
     """Stationary vector of a chain on the box {0..side1} x {0..side2}.
 
-    ``moves`` is as for _box_moves; ``pin`` is the state pinned in the
-    solve.  Returns (probs on the box, residual).
+    ``moves`` is as for _box_moves.  Q^T pi = 0 has rank n - 1, so the
+    balance equation of the state ``pin`` is replaced in place by
+    pi[pin] = 1 (Stewart, Introduction to the Numerical Solution of Markov
+    Chains, 1994, sec. 2.3) and the system solved by sparse LU; ``pin``
+    should sit near the mode so the solved ratios stay in range.  Returns
+    (probs on the box, max |_balance|).
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     box_moves = _box_moves(side1, side2, moves)
     w = side2 + 1
     idx = np.arange((side1 + 1) * w).reshape(side1 + 1, w)
-    rows, cols, rates = [], [], []
-    for mask, delta1, delta2, rate in box_moves:
-        rows.append(idx[mask])
-        cols.append(idx[mask] + delta1 * w + delta2)
-        rates.append(rate[mask])
-    pi, residual = _stationary_from_transitions(
-        idx.size, np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(rates), pin=pin[0] * w + pin[1])
-    return pi.reshape(side1 + 1, w), residual
+    pin = idx[pin]
+    src = np.concatenate([idx[mask] for mask, *_ in box_moves])
+    dst = np.concatenate([idx[mask] + d1 * w + d2
+                          for mask, d1, d2, _ in box_moves])
+    rate = np.concatenate([r[mask] for mask, _, _, r in box_moves])
+    # column j of Q^T holds state j's moves; row pin is emptied but for a 1
+    diag = -np.bincount(src, weights=rate, minlength=idx.size)
+    diag[pin] = 1.0
+    keep = dst != pin
+    qt = scipy.sparse.csc_matrix(
+        (np.concatenate([rate[keep], diag]),
+         (np.concatenate([dst[keep], idx.ravel()]),
+          np.concatenate([src[keep], idx.ravel()]))),
+        shape=(idx.size, idx.size))
+    rhs = np.zeros(idx.size)
+    rhs[pin] = 1.0
+    # minimum degree on A^T + A fits the generators' symmetric 5-point pattern
+    probs = scipy.sparse.linalg.spsolve(qt, rhs, permc_spec="MMD_AT_PLUS_A")
+    probs = np.maximum(probs.reshape(idx.shape), 0.0)
+    probs /= probs.sum()
+    return probs, float(np.max(np.abs(_balance(probs, box_moves))))
 
 
 def _walk_moves(params: ModelParams, n1_max: int, n2_max: int):
@@ -266,18 +243,18 @@ def default_box(params: ModelParams) -> tuple[int, int]:
 
 
 def solve_limiting_walk(params: ModelParams,
-                        box: tuple[int, int] = (400, 400)
+                        box: tuple[int, int] | None = None
                         ) -> TruncatedDistribution:
     """Stationary distribution of the limiting walk on a truncated box.
 
     Outward transitions at the rim are suppressed (reflecting
     truncation), which keeps a proper generator; the rim mass bounds the
-    truncation error.  The box is solved level by level when
-    _level_fits, by sparse LU otherwise.  Raises BoxTooSmall when the rim
-    holds more than 1e-4 probability.
+    truncation error.  ``box`` defaults to default_box(params).  The box
+    is solved level by level when _level_fits, by sparse LU otherwise.
+    Raises BoxTooSmall when the rim holds more than 1e-4 probability.
     """
     params = validate(params)
-    n1_max, n2_max = box
+    n1_max, n2_max = box = default_box(params) if box is None else tuple(box)
     if _level_fits(params, n2_max):
         probs, residual = _level_walk(params, n1_max, n2_max)
     else:
@@ -291,7 +268,7 @@ def solve_limiting_walk(params: ModelParams,
             f"enlarge the box {box}")
     return TruncatedDistribution(box=box, probs=probs,
                                  boundary_mass=boundary_mass,
-                                 residual=residual, a=params.a)
+                                 residual=residual)
 
 
 def blocking_from_distribution(dist: TruncatedDistribution,

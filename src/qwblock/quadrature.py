@@ -36,9 +36,6 @@ class QuadConfig:
             raise BadGridSize(f"grid size must be even and in 16.."
                               f"{MAX_GRID_SIZE}, got {self.grid_size}")
 
-    def with_grid(self, grid_size: int) -> "QuadConfig":
-        return QuadConfig(grid_size)
-
 
 def cosine_grid(a: float, b: float, n: int):
     """Midpoint cosine-substitution rule on [a, b] with n nodes.

@@ -36,10 +36,6 @@ class BoundaryVector:
     def p00(self) -> float:
         return float(self.p[0])
 
-    def poly(self, y):
-        """P2^-(y) = sum_n p(0,n) y^n (works for complex / array y)."""
-        return np.polyval(self.p[::-1], y)
-
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
@@ -306,7 +302,7 @@ def blocking_with_estimate(params: ModelParams,
     """
     cfg = cfg or QuadConfig()
     report = blocking(params, cfg)
-    coarse = blocking(params, cfg.with_grid(cfg.grid_size // 2))
+    coarse = blocking(params, QuadConfig(cfg.grid_size // 2))
     report.diagnostics["error_estimate"] = {
         "b1": abs(report.blocking.b1 - coarse.blocking.b1),
         "b2": abs(report.blocking.b2 - coarse.blocking.b2),

@@ -166,6 +166,21 @@ def test_prelimit_reads_config(tmp_path, capsys):
     assert json.loads(at_zero) != json.loads(expected)
 
 
+@pytest.mark.parametrize("command", ["solve", "prelimit"])
+@pytest.mark.parametrize("a", ["2.7", "true"])
+def test_config_threshold_that_is_not_an_integer_is_refused(tmp_path, capsys,
+                                                            command, a):
+    cfg = tmp_path / "model.json"
+    cfg.write_text('{"lambda1": 3, "lambda2": 5, "mu1": 1, "mu2": 2, '
+                   f'"c1": 1, "c2": 2, "a": {a}}}')
+    extra = ["--nu", "3"] if command == "prelimit" else []
+    code = main([command, "--config", str(cfg), *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: NonPositiveRate")
+    assert "Traceback" not in err
+
+
 BAD_CONFIGS = {
     "missing key": '{"lambda1": 3, "lambda2": 5, "mu2": 2, "c1": 1, "c2": 1}',
     "malformed JSON": '{"lambda1": 3, "lambda2": 5,',

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from qwblock.errors import DegenerateBranchPoints, OnCut
-from qwblock.kernel import (Side, branch_points, chebyshev_u, discriminants,
-                            kernel_value, theta2_of_x, x_of_theta, x_roots,
-                            y_roots)
+from qwblock.kernel import (Side, branch_points, discriminants, kernel_value,
+                            x_of_theta, x_roots, y_roots)
 from qwblock.model import ModelParams
 
 from conftest import BASE, OVERLOAD2, UNDERLOAD2
+from helpers import chebyshev_u, theta2_of_x
 
 
 def test_kernel_value_closed_form():
@@ -53,8 +53,6 @@ def test_branch_points_radii():
     bp = branch_points(BASE)
     np.testing.assert_allclose(bp.r1, math.sqrt(3.0), rtol=1e-15)
     np.testing.assert_allclose(bp.r2, math.sqrt(2.5), rtol=1e-15)
-    assert bp.y_cut == (bp.y1, bp.y2)
-    assert bp.x_cut == (bp.x1, bp.x2)
 
 
 def test_degenerate_branch_points_raise():

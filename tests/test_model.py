@@ -113,6 +113,27 @@ def test_read_config_rejects_unusable_documents(tmp_path, doc):
         params_from_dict(doc)
 
 
+RATES_DOC = {"lambda1": 3, "lambda2": 5, "mu1": 1, "mu2": 2, "c1": 1, "c2": 1}
+
+
+# a threshold is never rounded or read from a bool: 2.7 is not a = 2, true
+# is not a = 1
+@pytest.mark.parametrize("a", [2.7, True, False, -1, "2", float("nan")])
+def test_read_config_refuses_a_threshold_as_threshold_refuses(tmp_path, a):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**RATES_DOC, "a": a}))
+    with pytest.raises(NonPositiveRate):
+        read_config(str(path))
+
+
+def test_read_config_takes_an_integral_float_threshold(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**RATES_DOC, "a": 2.0}))
+    a = read_config(str(path))["a"]
+    assert a == 2 and type(a) is int
+    assert params_from_json(str(path)) == ModelParams(3.0, 5.0, 1.0, 2.0, 2)
+
+
 def test_params_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"lambda1": 3, "lambda2": 5, "mu1": 1,

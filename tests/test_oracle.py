@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qwblock.errors import BoxTooSmall, NonPositiveRate, StateSpaceTooLarge
+from qwblock.errors import (BoxTooSmall, NonPositiveRate, QwblockError,
+                            StateSpaceTooLarge)
 from qwblock.model import BlockingPair, ModelParams
-from qwblock.oracle import (_box_chain, _level_fits, _level_walk,
-                            _stationary_from_transitions, _walk_moves,
-                            _window_bottom, blocking_from_distribution,
-                            default_box, solve_limiting_walk, solve_prelimit)
+from qwblock.oracle import (_balance, _box_chain, _box_moves, _level_fits,
+                            _level_walk, _walk_moves, _window_bottom,
+                            blocking_from_distribution, default_box,
+                            solve_limiting_walk, solve_prelimit)
 
 from conftest import BASE, CASES, UNDERLOAD2
 
@@ -19,28 +20,28 @@ def erlang_b(load, servers):
     return 1.0 / inv
 
 
+def independent_birth_death(n1, n2):
+    """Two independent birth-death chains, births 2 and 1, deaths 3 and 4:
+    pi(n1, n2) is proportional to (2/3)^n1 (1/4)^n2."""
+    return [(n1 < n1.max(), +1, 0, 2.0), (n1 > 0, -1, 0, 3.0),
+            (n2 < n2.max(), 0, +1, 1.0), (n2 > 0, 0, -1, 4.0)]
+
+
 def test_stationary_birth_death_closed_form():
-    # three-state birth-death chain: pi_k proportional to (lam/mu)^k
-    lam, mu = 2.0, 3.0
-    rows = [0, 1, 1, 2]
-    cols = [1, 2, 0, 1]
-    rates = [lam, lam, mu, mu]
-    pi, residual = _stationary_from_transitions(3, rows, cols, rates)
-    r = lam / mu
-    expected = np.array([1.0, r, r * r])
-    expected /= expected.sum()
-    np.testing.assert_allclose(pi, expected, rtol=1e-13)
+    probs, residual = _box_chain(6, 4, independent_birth_death)
+    expected = np.outer((2 / 3) ** np.arange(7), 0.25 ** np.arange(5))
+    np.testing.assert_allclose(probs, expected / expected.sum(), rtol=1e-13)
     assert residual < 1e-14
+    # the residual is the level solve's, max |pi Q| by _balance
+    box_moves = _box_moves(6, 4, independent_birth_death)
+    assert residual == np.max(np.abs(_balance(probs, box_moves))) > 0
 
 
 def test_stationary_pin_relabeling():
-    lam, mu = 2.0, 3.0
-    rows = [0, 1, 1, 2]
-    cols = [1, 2, 0, 1]
-    rates = [lam, lam, mu, mu]
-    pi0, _ = _stationary_from_transitions(3, rows, cols, rates, pin=0)
-    pi2, _ = _stationary_from_transitions(3, rows, cols, rates, pin=2)
-    np.testing.assert_allclose(pi0, pi2, rtol=1e-13)
+    # the pin only fixes the scale before normalising
+    pin0, _ = _box_chain(6, 4, independent_birth_death)
+    pin_far, _ = _box_chain(6, 4, independent_birth_death, pin=(5, 3))
+    np.testing.assert_allclose(pin0, pin_far, rtol=1e-13)
 
 
 def test_default_box_grows_with_threshold():
@@ -75,8 +76,8 @@ def test_limiting_walk_matches_golden(golden):
 
 def test_limiting_walk_marginals(golden):
     dist = solve_limiting_walk(BASE.with_a(2), (60, 62))
-    m1 = dist.marginal_n1()
-    m2 = dist.marginal_n2()
+    m1 = dist.probs.sum(axis=1)
+    m2 = dist.probs.sum(axis=0)
     np.testing.assert_allclose(m1.sum(), 1.0, rtol=1e-12)
     np.testing.assert_allclose(m2.sum(), 1.0, rtol=1e-12)
     # queue 1 alone is a simple birth-death chain: geometric marginal
@@ -88,6 +89,29 @@ def test_limiting_walk_marginals(golden):
 def test_limiting_walk_rejects_small_box():
     with pytest.raises(BoxTooSmall):
         solve_limiting_walk(UNDERLOAD2, (60, 60))
+
+
+def test_limiting_walk_defaults_to_default_box():
+    params = BASE.with_a(3)
+    dist = solve_limiting_walk(params)
+    assert dist.box == default_box(params)
+    assert np.array_equal(dist.probs,
+                          solve_limiting_walk(params, dist.box).probs)
+
+
+# a float or bool side is not read as an integer on either path: (60, 62.0)
+# is a box for the level solve, (60, 4000.0) one for the sparse LU
+@pytest.mark.parametrize("box", [(60.0, 62), (True, 62), (60, np.True_),
+                                 (60, 62.0), (60, 4000.0)])
+def test_limiting_walk_rejects_a_box_side_that_is_not_an_integer(box):
+    with pytest.raises(QwblockError, match="must be integers"):
+        solve_limiting_walk(BASE.with_a(2), box)
+
+
+def test_limiting_walk_takes_numpy_integer_box_sides():
+    box = (np.int64(60), np.int32(62))
+    assert np.array_equal(solve_limiting_walk(BASE.with_a(2), box).probs,
+                          solve_limiting_walk(BASE.with_a(2), (60, 62)).probs)
 
 
 # level-solve boxes: a side of 1 each way, a >= N2 (no threshold move),
@@ -106,10 +130,10 @@ LEVEL_BOXES = [
 @pytest.mark.parametrize("params, box", LEVEL_BOXES)
 def test_level_walk_matches_box_chain(params, box):
     assert _level_fits(params, box[1])
-    ref, _ = _box_chain(*box, _walk_moves(params, *box))
+    ref, ref_residual = _box_chain(*box, _walk_moves(params, *box))
     probs, residual = _level_walk(params, *box)
     np.testing.assert_allclose(probs, ref, rtol=0, atol=2e-15)
-    assert residual <= 1e-15
+    assert residual <= 1e-15 and ref_residual <= 1e-15
 
 
 # just past the rule: growth to 1.05e6, decay to 9.5e-151, N2 + 1 = 3,001

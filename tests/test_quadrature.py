@@ -22,10 +22,6 @@ def test_config_caps_the_grid():
             QuadConfig(grid_size=size)
 
 
-def test_config_with_grid():
-    assert QuadConfig().with_grid(64) == QuadConfig(grid_size=64)
-
-
 @pytest.mark.parametrize("n, width", [(0, 512), (1, 512), (513, 512),
                                       (513, 1), (7, 10 ** 6)])
 def test_blocks_cover_range(n, width):
