@@ -168,11 +168,7 @@ class BoundaryCache:
                        params, nodes, phi1_weights, x_theta))
 
     def phi1(self, x) -> float:
-        """The sectionally analytic factor phi1(x), |x| < r1.
-
-        Real and positive for real x off the poles of the integrand;
-        phi1(0) = 1.
-        """
+        """The sectionally analytic factor phi1(x), |x| < r1; phi1(0) = 1."""
         return float(self.phi1_many([x])[0])
 
     def phi1_many(self, xs) -> np.ndarray:

@@ -103,16 +103,10 @@ def cmd_oracle(args) -> int:
     params = _params(args)
     dist = solve_limiting_walk(params, args.box)
     pair = blocking_from_distribution(dist, params)
-    doc = {
-        "params": {"lambda1": params.lambda1, "lambda2": params.lambda2,
-                   "mu1c1": params.mu1c1, "mu2c2": params.mu2c2},
-        "a": params.a,
-        "box": list(dist.box),
-        "B1": pair.b1,
-        "B2": pair.b2,
-        "boundary_mass": dist.boundary_mass,
-        "residual": dist.residual,
-    }
+    doc = {"params": {"lambda1": params.lambda1, "lambda2": params.lambda2,
+                      "mu1c1": params.mu1c1, "mu2c2": params.mu2c2},
+           "a": params.a, "box": list(dist.box), "B1": pair.b1, "B2": pair.b2,
+           "boundary_mass": dist.boundary_mass, "residual": dist.residual}
     _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -137,14 +131,10 @@ def cmd_compare(args) -> int:
     d1 = abs(rep.blocking.b1 - pair.b1)
     d2 = abs(rep.blocking.b2 - pair.b2)
     ok = max(d1, d2) <= args.tol
-    doc = {
-        "a": params.a,
-        "analytic": {"B1": rep.blocking.b1, "B2": rep.blocking.b2},
-        "oracle": {"B1": pair.b1, "B2": pair.b2},
-        "delta": {"B1": d1, "B2": d2},
-        "tolerance": args.tol,
-        "pass": ok,
-    }
+    doc = {"a": params.a, "analytic": {"B1": rep.blocking.b1,
+                                       "B2": rep.blocking.b2},
+           "oracle": {"B1": pair.b1, "B2": pair.b2},
+           "delta": {"B1": d1, "B2": d2}, "tolerance": args.tol, "pass": ok}
     _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if ok else 2
 

@@ -38,7 +38,10 @@ class KernelZeroOnCut(QwblockError):
 
 
 class SingularSystem(QwblockError):
-    """The boundary linear system is numerically singular."""
+    """A linear solve that cannot be trusted: the boundary system is
+    singular, not finite, or gives B1 or B2 a condition number (for
+    relative changes of each entry) above 1e-10 / eps; or a truncated
+    walk's balance residual exceeds 1e-12 * rate_sum."""
 
 
 class NegativeProbability(QwblockError):

@@ -98,19 +98,12 @@ def validate(params: ModelParams) -> ModelParams:
 
 
 def isolated_limits(params: ModelParams) -> BlockingPair:
-    """Blocking pair of the fully isolated DCs (threshold a -> infinity).
-
-    B1 = 1 - mu1c1/lambda1; B2 = 0 when queue 2 is underloaded
-    (lambda2 <= mu2c2), otherwise 1 - mu2c2/lambda2.  At the critical
-    point lambda2 == mu2c2 both branches give 0.
-    """
+    """Blocking pair of the fully isolated DCs (threshold a -> infinity):
+    B1 = 1 - mu1c1/lambda1, and B2 = 1 - mu2c2/lambda2 or 0 when queue 2
+    is not overloaded (lambda2 <= mu2c2)."""
     validate(params)
-    b1 = 1.0 - params.mu1c1 / params.lambda1
-    if params.lambda2 > params.mu2c2:
-        b2 = 1.0 - params.mu2c2 / params.lambda2
-    else:
-        b2 = 0.0
-    return BlockingPair(b1, b2)
+    return BlockingPair(1.0 - params.mu1c1 / params.lambda1,
+                        max(1.0 - params.mu2c2 / params.lambda2, 0.0))
 
 
 CONFIG_KEYS = ("lambda1", "lambda2", "mu1", "mu2", "c1", "c2")

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxTooSmall, NonPositiveRate, StateSpaceTooLarge
+from .errors import (BoxTooSmall, NonPositiveRate, SingularSystem,
+                     StateSpaceTooLarge)
 from .model import BlockingPair, ModelParams, as_threshold, validate
 
 BOX_SAFETY = 20.0    # default_box gives each side ~BOX_SAFETY/(1-rho) states
@@ -59,6 +60,15 @@ def _span(delta: int, size: int) -> tuple[slice, slice]:
             slice(max(-delta, 0), size - max(delta, 0)))
 
 
+def _box_sides(box) -> tuple:
+    """``box`` as a tuple, refused unless it is two integer sides."""
+    sides = tuple(box) if isinstance(box, (tuple, list, np.ndarray)) else ()
+    if len(sides) != 2 or not all(isinstance(side, numbers.Integral) and not
+                                  isinstance(side, bool) for side in sides):
+        raise NonPositiveRate(f"box {box!r}: two sides that must be integers")
+    return sides
+
+
 def _box_moves(side1: int, side2: int, moves) -> list:
     """``moves`` evaluated on the box {0..side1} x {0..side2}.
 
@@ -68,10 +78,7 @@ def _box_moves(side1: int, side2: int, moves) -> list:
     integer or is below 1, a box above MAX_STATES before allocating it,
     and a move whose mask lets a state leave the box.
     """
-    if not all(isinstance(side, numbers.Integral) and not isinstance(side, bool)
-               for side in (side1, side2)):
-        raise NonPositiveRate(f"box sides ({side1!r}, {side2!r}) must be "
-                              "integers")
+    side1, side2 = _box_sides((side1, side2))
     if min(side1, side2) < 1:
         raise BoxTooSmall(f"box sides ({side1}, {side2}) must be at least 1")
     if (side1 + 1) * (side2 + 1) > MAX_STATES:
@@ -225,6 +232,11 @@ def _level_walk(params: ModelParams, n1_max: int, n2_max: int):
     return probs, float(np.max(np.abs(_balance(probs, box_moves))))
 
 
+def _walk_pin(params: ModelParams, n2_max: int) -> tuple[int, int]:
+    """The walk's mode: n1 = 0, and n2 = a if it climbs (mu2c2 > lambda2)."""
+    return 0, (min(params.a, n2_max) if params.mu2c2 > params.lambda2 else 0)
+
+
 def default_box(params: ModelParams) -> tuple[int, int]:
     """Box sized from the per-axis geometric decay rates.
 
@@ -250,16 +262,23 @@ def solve_limiting_walk(params: ModelParams,
     Outward transitions at the rim are suppressed (reflecting
     truncation), which keeps a proper generator; the rim mass bounds the
     truncation error.  ``box`` defaults to default_box(params).  The box
-    is solved level by level when _level_fits, by sparse LU otherwise.
-    Raises BoxTooSmall when the rim holds more than 1e-4 probability.
+    is solved level by level when _level_fits, otherwise by sparse LU
+    pinned at _walk_pin.  Raises NonPositiveRate unless ``box`` is two
+    integers, SingularSystem past a balance residual of 1e-12 * rate_sum,
+    and BoxTooSmall past a rim mass of 1e-4.
     """
     params = validate(params)
-    n1_max, n2_max = box = default_box(params) if box is None else tuple(box)
+    n1_max, n2_max = box = _box_sides(default_box(params) if box is None
+                                      else box)
     if _level_fits(params, n2_max):
         probs, residual = _level_walk(params, n1_max, n2_max)
     else:
         probs, residual = _box_chain(n1_max, n2_max,
-                                     _walk_moves(params, n1_max, n2_max))
+                                     _walk_moves(params, n1_max, n2_max),
+                                     pin=_walk_pin(params, n2_max))
+    if not residual <= 1e-12 * params.rate_sum:
+        raise SingularSystem(f"balance residual {residual:.3e} of the walk "
+                             f"on the box {box}")
     boundary_mass = float(probs[-1, :].sum() + probs[:, -1].sum()
                           - probs[-1, -1])
     if boundary_mass > 1e-4:

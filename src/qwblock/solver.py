@@ -30,7 +30,7 @@ class BoundaryVector:
 
     p: np.ndarray
     seed_scale: float    # the normalization-determined p(0,0)
-    cond: float = 1.0    # 2-norm condition number; no system at a = 0
+    cond: float = 0.0    # of B1 or B2, the larger (solve_boundary); 0 at a = 0
 
     @property
     def p00(self) -> float:
@@ -216,15 +216,6 @@ def eval_P2(params: ModelParams, cache: BoundaryCache,
     return float(np.real(total))
 
 
-def cond_lower_bound(mat: np.ndarray) -> float:
-    """Largest over smallest row or column norm: sigma_max is at least the
-    one and sigma_min at most the other, so this never exceeds cond(mat)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = mat / np.max(np.abs(mat))
-        return max(float(np.max(n) / np.min(n)) for n in (
-            np.linalg.norm(scaled, axis=0), np.linalg.norm(scaled, axis=1)))
-
-
 def solve_boundary(params: ModelParams,
                    cfg: QuadConfig | None = None,
                    cache: BoundaryCache | None = None,
@@ -239,22 +230,30 @@ def solve_boundary(params: ModelParams,
     cache = cache or boundary_cache(params, cfg or QuadConfig())
     cm = cm or coefficients(params, cache)
     a = params.a
-    if a == 0:
-        unscaled, cond = np.array([1.0]), 1.0
-    else:
-        mat = (np.diag(cache.bp.r2 ** np.arange(a, dtype=float))
-               - cm.alpha[:a, 1:a + 1])
-        rhs = cm.beta[:a] + cm.alpha[:a, 0]
-        # the norm bound refuses most ill-posed systems without an SVD;
-        # a NaN or infinite entry fails every comparison and is refused
-        cond = cond_lower_bound(mat)
-        if cond <= 1e12:
-            cond = float(np.linalg.cond(mat))
-        if not (cond <= 1e12 and np.all(np.isfinite(rhs))):
-            raise SingularSystem(f"condition number at least {cond:.3e}, "
-                                 "or a non-finite right-hand side")
-        unscaled = np.concatenate([[1.0], np.linalg.solve(mat, rhs)])
-
+    # B1, B2 before scaling are c0 + c^T u, u = M^-1 rhs, (c0, c) the
+    # columns of cb.  Changes in M, rhs bounded by eps E, eps f move B
+    # by up to eps |W|^T (E|u| + f) / |B|, W = M^-T c (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., sec. 7.2).  The
+    # gate takes E = |M|, f = |rhs|; cond, each column's largest entry,
+    # the scale at which the assembly rounds.  NaN fails the gate.
+    mat = (np.diag(cache.bp.r2 ** np.arange(a, dtype=float))
+           - cm.alpha[:a, 1:a + 1])
+    rhs = cm.beta[:a] + cm.alpha[:a, 0]
+    cb = np.stack([np.ones(a + 1), cm.p1_one[:a + 1]], axis=1)
+    try:
+        with np.errstate(all="ignore"):
+            u = np.linalg.solve(mat, rhs)
+            w = np.abs(np.linalg.solve(mat.T, cb[1:]))
+            b = np.abs(cb[0] + u @ cb[1:])
+            gate = np.max(w.T @ (np.abs(mat) @ np.abs(u) + np.abs(rhs)) / b)
+            col, f = (np.abs(mat).max(axis=0, initial=0.0),
+                      np.abs(rhs).max(initial=0.0))
+            cond = float(np.max(w.sum(axis=0) / b * (col @ np.abs(u) + f)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"boundary system: {exc}") from None
+    if not gate * np.finfo(float).eps <= 1e-10:
+        raise SingularSystem(f"condition number of B1, B2 {gate:.3e}")
+    unscaled = np.concatenate([[1.0], u])
     b2_raw = float(cm.p1_one[:a + 1] @ unscaled)
     scale = params.drift / (params.lambda1 * float(unscaled.sum())
                             + params.lambda2 * b2_raw)
@@ -294,12 +293,9 @@ def blocking(params: ModelParams,
 
 def blocking_with_estimate(params: ModelParams,
                            cfg: QuadConfig | None = None) -> BlockingReport:
-    """Blocking report with grid-halving error estimates attached.
-
-    The reported estimate for each headline quantity is the change seen
-    when halving the grid; spectral convergence makes this a conservative
-    bound on the remaining error.
-    """
+    """Blocking report with, for each headline quantity, its change when
+    the grid is halved: under spectral convergence, a conservative bound
+    on the remaining error."""
     cfg = cfg or QuadConfig()
     report = blocking(params, cfg)
     coarse = blocking(params, QuadConfig(cfg.grid_size // 2))

@@ -77,6 +77,17 @@ def test_sweep_csv(capsys):
     assert b1 == sorted(b1)
 
 
+def test_sweep_to_the_largest_threshold(capsys):
+    # base sits at its isolation limit from a = 62 on; every threshold
+    # up to the CLI's 200 is answered
+    code, out = run(capsys, ["sweep", "--lambda1", "3", "--lambda2", "5",
+                             "--mu2", "2", "--a-max", "200"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == SWEEP_HEADER
+    assert [int(r[0]) for r in rows[1:]] == list(range(201))
+
+
 def test_sweep_json_format(capsys):
     code, out = run(capsys, ["sweep", *ARGS, "--a-min", "1", "--a-max", "2",
                              "--format", "json"])

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from qwblock.errors import (BoxTooSmall, NonPositiveRate, QwblockError,
-                            StateSpaceTooLarge)
+                            SingularSystem, StateSpaceTooLarge)
 from qwblock.model import BlockingPair, ModelParams
+from qwblock import oracle
 from qwblock.oracle import (_balance, _box_chain, _box_moves, _level_fits,
-                            _level_walk, _walk_moves, _window_bottom,
-                            blocking_from_distribution, default_box,
-                            solve_limiting_walk, solve_prelimit)
+                            _level_walk, _walk_moves, _walk_pin,
+                            _window_bottom, blocking_from_distribution,
+                            default_box, solve_limiting_walk, solve_prelimit)
+from qwblock.solver import blocking
 
 from conftest import BASE, CASES, UNDERLOAD2
 
@@ -100,9 +102,11 @@ def test_limiting_walk_defaults_to_default_box():
 
 
 # a float or bool side is not read as an integer on either path: (60, 62.0)
-# is a box for the level solve, (60, 4000.0) one for the sparse LU
+# is a box for the level solve, (60, 4000.0) one for the sparse LU; nor is
+# a box that is not two sides
 @pytest.mark.parametrize("box", [(60.0, 62), (True, 62), (60, np.True_),
-                                 (60, 62.0), (60, 4000.0)])
+                                 (60, 62.0), (60, 4000.0), (60,),
+                                 (60, 62, 3), 60, "60"])
 def test_limiting_walk_rejects_a_box_side_that_is_not_an_integer(box):
     with pytest.raises(QwblockError, match="must be integers"):
         solve_limiting_walk(BASE.with_a(2), box)
@@ -144,9 +148,40 @@ def test_level_walk_matches_box_chain(params, box):
 ])
 def test_walk_past_the_level_rule_takes_the_box_chain(params, box):
     assert not _level_fits(params, box[1])
-    ref, residual = _box_chain(*box, _walk_moves(params, *box))
+    ref, residual = _box_chain(*box, _walk_moves(params, *box),
+                               pin=_walk_pin(params, box[1]))
     dist = solve_limiting_walk(params, box)
     assert np.array_equal(dist.probs, ref) and dist.residual == residual
+
+
+# default boxes past the level rule on which a pin at (0, 0) left a
+# residual of 0.036 and 4.7, and B1 off by 0.20 and 0.34: n2 climbs to a
+# (mu2c2 > lambda2), so the probabilities at (0, 0) are near underflow
+PINNED_WALKS = [ModelParams(9.3745, 6.4210, 1.2161, 8.2938, a=185),
+                ModelParams(7.545904197799578, 2.7383798605245504,
+                            1.8584327009415933, 4.1520622476079145, a=86)]
+
+
+@pytest.mark.parametrize("params", PINNED_WALKS)
+def test_sparse_walk_is_pinned_at_the_mode(params):
+    box = default_box(params)
+    assert not _level_fits(params, box[1])
+    assert _walk_pin(params, box[1]) == (0, params.a)
+    dist = solve_limiting_walk(params, box)
+    assert dist.residual <= 1e-14
+    assert (np.unravel_index(dist.probs.argmax(), dist.probs.shape)
+            == (0, params.a))
+    want = blocking(params).blocking
+    got = blocking_from_distribution(dist, params)
+    np.testing.assert_allclose(tuple(got), tuple(want), rtol=0,
+                               atol=dist.boundary_mass + 1e-14)
+
+
+@pytest.mark.parametrize("params", PINNED_WALKS)
+def test_walk_with_a_large_residual_is_refused(monkeypatch, params):
+    monkeypatch.setattr(oracle, "_walk_pin", lambda params, n2_max: (0, 0))
+    with pytest.raises(SingularSystem, match="balance residual"):
+        solve_limiting_walk(params)
 
 
 def test_oracle_blocking_wrapper(golden):

@@ -15,7 +15,7 @@ RATE = st.floats(0.5, 10.0)
 @st.composite
 def stable_params(draw):
     params = ModelParams(draw(RATE), draw(RATE), draw(RATE), draw(RATE),
-                         draw(st.integers(0, 40)))
+                         draw(st.integers(0, 200)))
     assume(params.lambda1 > params.mu1c1
            and params.mu1c1 + params.mu2c2 < params.lambda1 + params.lambda2)
     return params

@@ -10,10 +10,10 @@ from qwblock.errors import NonPositiveRate, QwblockError, SingularSystem
 from qwblock.kernel import x_of_theta
 from qwblock.model import ModelParams
 from qwblock.quadrature import QuadConfig
+from qwblock.oracle import blocking_from_distribution, solve_limiting_walk
 from qwblock.solver import (BoundaryVector, assemble, baseline_a0, blocking,
-                            blocking_with_estimate, coefficients,
-                            cond_lower_bound, eval_P1, eval_P2, solve_boundary,
-                            sweep)
+                            blocking_with_estimate, coefficients, eval_P1,
+                            eval_P2, solve_boundary, sweep)
 
 from conftest import BASE, CASES, OVERLOAD2, UNDERLOAD2
 
@@ -120,12 +120,32 @@ def test_blocking_report_contents(bvec2):
 
 
 def test_condition_number_is_reported(cache, bvec2):
-    rep = blocking(BASE.with_a(2), CFG)
-    assert bvec2.cond > 1.0
-    assert bvec2.cond == rep.to_dict()["diagnostics"]["condition_estimate"]
-    assert solve_boundary(BASE, CFG, cache).cond == 1.0
+    # cond is the larger condition number of the seeded B1 = 1 + sum(u) and
+    # B2 = p1_one @ (1, u), u = M^-1 rhs, under perturbations of M and rhs
+    # at the size of each column's largest entry: the perturbation of size
+    # delta whose signs follow M^-T c and u moves B by cond * delta
+    # relative, to first order (Higham, Accuracy and Stability of
+    # Numerical Algorithms, sec. 7.2)
+    a, cm = 2, coefficients(BASE.with_a(2), cache)
+    mat = np.diag(cache.bp.r2 ** np.arange(a)) - cm.alpha[:, 1:]
+    rhs = cm.beta + cm.alpha[:, 0]
+    u = np.linalg.solve(mat, rhs)
+    kappas = []
+    for c in (np.ones(a + 1), cm.p1_one):
+        sign = np.sign(np.linalg.solve(mat.T, c[1:]))
+        seeded = c[0] + c[1:] @ u
+        delta = 1e-7
+        worst = np.linalg.solve(
+            mat - delta * np.outer(sign, np.sign(u)) * np.abs(mat).max(axis=0),
+            rhs + delta * sign * np.abs(rhs).max())
+        kappas.append(abs(c[1:] @ (worst - u)) / (delta * abs(seeded)))
+    assert bvec2.cond == pytest.approx(max(kappas), rel=1e-6)
+    assert bvec2.cond == blocking(BASE.with_a(2), CFG).to_dict()[
+        "diagnostics"]["condition_estimate"]
+    # at a = 0 there is no system for B to depend on
+    assert solve_boundary(BASE, CFG, cache).cond == 0.0
     assert blocking(BASE, CFG).to_dict()["diagnostics"][
-        "condition_estimate"] == 1.0
+        "condition_estimate"] == 0.0
 
 
 def test_blocking_monotone_in_threshold():
@@ -229,30 +249,23 @@ def test_assemble_matches_dense_sums(params):
                                atol=1e-12 * np.max(np.abs(beta)))
 
 
-def test_cond_lower_bound_never_exceeds_cond():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 5, 30):
-        for _ in range(20):
-            mat = (rng.standard_normal((n, n))
-                   * 10.0 ** rng.uniform(-8, 8, n)[:, None]
-                   * 10.0 ** rng.uniform(-8, 8, n)[None, :])
-            assert cond_lower_bound(mat) <= np.linalg.cond(mat) * (1 + 1e-12)
-    diag = np.diag(2.0 ** np.arange(60))
-    assert cond_lower_bound(diag) == pytest.approx(np.linalg.cond(diag))
-    assert cond_lower_bound(np.zeros((3, 3)) + np.eye(3)[0]) == math.inf
-
-
-def test_ill_conditioned_systems_are_refused():
-    # condition number about 3e55: the norm bound refuses it before the SVD
-    far = ModelParams(9.063560847309095, 0.7906048388187585,
-                      0.7417356794378775, 5.643418491538218, a=97)
-    # about 4e12, with a norm ratio near 2e6: only the SVD refuses it
-    near = ModelParams(6.284975842331384, 7.429301713066076,
-                       4.145051512455379, 8.641016705294073, a=189)
-    with pytest.raises(SingularSystem, match="condition number"):
-        solve_boundary(far)
-    with pytest.raises(SingularSystem, match="condition number"):
-        solve_boundary(near)
+def test_systems_ill_conditioned_in_norm_are_answered():
+    for params, box in (
+            # the matrix has 2-norm condition number 3e55; B1 and B2 have
+            # 3.9 for relative changes of each entry, which the gate takes
+            (ModelParams(9.063560847309095, 0.7906048388187585,
+                         0.7417356794378775, 5.643418491538218, a=97),
+             (60, 217)),
+            # 4e12 against 80
+            (ModelParams(6.284975842331384, 7.429301713066076,
+                         4.145051512455379, 8.641016705294073, a=189),
+             (120, 792))):
+        rep = blocking(params)
+        dist = solve_limiting_walk(params, box)
+        assert dist.boundary_mass < 1e-16
+        oracle = blocking_from_distribution(dist, params)
+        np.testing.assert_allclose(tuple(rep.blocking), tuple(oracle),
+                                   rtol=0, atol=1e-12)
 
 
 def test_eval_P1_array_equals_per_element(cache, bvec2):
@@ -273,8 +286,8 @@ def test_sweep_matches_per_threshold_blocking(name):
                           (rep.blocking.b2, single.blocking.b2),
                           (rep.p00, single.p00)):
             assert abs(got - want) <= 1e-14 * abs(want)
-        # the systems agree to rounding, which moves the 2-norm condition
-        # number kappa by up to about kappa * eps relative
+        # the systems agree to rounding, which moves the condition number
+        # kappa of B1 and B2 by up to about kappa * eps relative
         got = rep.diagnostics["condition_estimate"]
         want = single.diagnostics["condition_estimate"]
         assert abs(got - want) <= max(1e-12, 1e-15 * want) * want
@@ -313,7 +326,21 @@ def test_sweep_assembles_once(monkeypatch):
     assert calls == [12, 5]
 
 
-def test_sweep_stops_at_the_first_refused_threshold():
+def spoil(field, index, value):
+    """assemble, with one entry of ``field`` set to ``value`` where the
+    assembled matrix has it."""
+    def spoiled(params, cache):
+        cm = assemble(params, cache)
+        bad = getattr(cm, field).copy()
+        if index[0] < bad.shape[0]:
+            bad[index] = value
+        return dataclasses.replace(cm, **{field: bad})
+    return spoiled
+
+
+def test_sweep_stops_at_the_first_refused_threshold(monkeypatch):
+    # row 62 of the system is spoiled, so thresholds from 63 on are refused
+    monkeypatch.setattr(solver, "assemble", spoil("alpha", (62, 0), math.nan))
     thresholds = range(55, 71)
     refused = None
     for a in thresholds:
@@ -322,7 +349,7 @@ def test_sweep_stops_at_the_first_refused_threshold():
         except QwblockError as exc:
             refused = type(exc)
             break
-    assert refused is not None
+    assert refused is not None and a == 63
     with pytest.raises(QwblockError) as info:
         sweep(BASE, thresholds)
     assert type(info.value) is refused
@@ -333,17 +360,21 @@ def test_sweep_stops_at_the_first_refused_threshold():
                                    ("beta", (0,), math.nan),
                                    ("alpha", (1, 2), math.inf)])
 def test_non_finite_systems_are_refused(monkeypatch, entry):
-    # NaN fails every comparison, so "cond > 1e12" alone let it through
-    field, index, value = entry
-
-    def spoiled(params, cache):
-        cm = assemble(params, cache)
-        bad = getattr(cm, field).copy()
-        bad[index] = value
-        return dataclasses.replace(cm, **{field: bad})
-
-    monkeypatch.setattr(solver, "assemble", spoiled)
+    monkeypatch.setattr(solver, "assemble", spoil(*entry))
     with pytest.raises(SingularSystem):
+        blocking(BASE.with_a(3), CFG)
+
+
+def test_exactly_singular_systems_are_refused(monkeypatch):
+    # alpha[0, 1] = r2^0 = 1 and zeros after it leave row 0 of M all zero
+    def singular(params, cache):
+        cm = assemble(params, cache)
+        alpha = cm.alpha.copy()
+        alpha[0, 1:] = np.eye(params.a)[0]
+        return dataclasses.replace(cm, alpha=alpha)
+
+    monkeypatch.setattr(solver, "assemble", singular)
+    with pytest.raises(SingularSystem, match="[Ss]ingular"):
         blocking(BASE.with_a(3), CFG)
 
 
