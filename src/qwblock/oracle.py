@@ -8,9 +8,10 @@ many-servers rescaling.  Each is one list of moves on a box
 a walk whose box the level solve does not fit, take one sparse LU of Q^T
 with the pinned state's balance equation replaced in place; the walk
 otherwise is solved level by level in the eigenbasis of its n2
-generator.  Both paths report the residual max |pi Q| from _balance and
-the probability mass on the truncation rim, so callers can judge the
-truncation error instead of trusting it.
+generator, an M/M/1/N generator with a closed-form spectrum, and one
+dense LU factored in place.  Both paths report the residual max |pi Q|
+from _balance and the probability mass on the truncation rim, so
+callers can judge the truncation error instead of trusting it.
 
 SciPy is imported by the functions that use it, so importing the package
 (or running the analytic solver) loads none of it.
@@ -28,13 +29,15 @@ import numpy as np
 from .errors import (BoxTooSmall, NonPositiveRate, SingularSystem,
                      StateSpaceTooLarge)
 from .model import BlockingPair, ModelParams, as_threshold, validate
+from .quadrature import blocks
 
 BOX_SAFETY = 20.0    # default_box gives each side ~BOX_SAFETY/(1-rho) states
 MAX_STATES = 4_000_000    # largest chain either oracle solves
 # pre-limit window: a DC-1 state is left out when its Erlang mass is below
 WINDOW_LOG = 37.0    # e^-37 = 8.5e-17 of the mode's, under double rounding
-# The level solve keeps two dense (N2+1)-square arrays, 144 MB at this cap
-# on N2 + 1; default_box gives N2 + 1 <= 2,701 for a <= 200.
+# The level solve keeps two dense (N2+1)-square arrays, the eigenbasis and
+# the level-0 LU, 144 MB at this cap on N2 + 1; default_box gives
+# N2 + 1 <= 2,701 for a <= 200.
 LEVEL_MAX_PHASES = 3_000
 # Its eigenbasis is scaled by T2's symmetriser D_k = (mu2c2/lambda2)^(k/2).
 # Growth of D_N2 past 1e6 costs digits (errors in B up to 4e-12 at 1e8,
@@ -165,31 +168,56 @@ def _level_fits(params: ModelParams, n2_max: int) -> bool:
             and LEVEL_LOG_SPREAD[0] <= spread <= LEVEL_LOG_SPREAD[1])
 
 
+def _level_spectrum(up: float, down: float, sym: np.ndarray):
+    """Eigenvalues and left eigenvectors of T2, the birth-death generator
+    (rates ``up`` and ``down``) on {0..N2}, which its symmetriser D =
+    diag(sym) turns into M/M/1/N's (Morse, Oper. Res. 3, 1955): with phi =
+    pi/(N2+1), theta_0 = 0 with w_0 ~ sym, and for j = 1..N2 theta_j =
+    -(up+down) + 2 sqrt(up down) cos(j phi) with w_j(k) ~ sin((k+1) j phi)
+    - sqrt(down/up) sin(k j phi).  Returns theta and the Fortran-ordered
+    left = W D, W's rows normalised: left @ T2 = theta[:, None] * left and
+    (left / sym**2) @ left.T = I.
+    """
+    k = np.arange(sym.size)
+    phi = math.pi / k.size
+    # the cosine form by its half angle, so small |theta_j| keep their digits
+    theta = (-(math.sqrt(up) - math.sqrt(down)) ** 2
+             - 4.0 * math.sqrt(up * down) * np.sin(0.5 * phi * k) ** 2)
+    theta[0] = 0.0
+    # sin(m j phi) = sin(pi (m j mod 2 (N2+1)) / (N2+1)), from one table,
+    # for m = k..k+1 over a block of columns k
+    sin_table = np.sin(np.arange(2 * k.size) * phi)
+    left = np.empty((k.size, k.size), order="F")
+    for cols in blocks(k.size, k.size):
+        m = np.arange(cols.start, min(cols.stop, k.size) + 1)
+        sines = sin_table[k[:, None] * m % (2 * k.size)]
+        np.subtract(sines[:, 1:], math.sqrt(down / up) * sines[:, :-1],
+                    out=left[:, cols])
+    left[0] = sym
+    left /= np.sqrt(np.einsum("jk,jk->j", left, left))[:, None]
+    left *= sym
+    return theta, left
+
+
 def _level_walk(params: ModelParams, n1_max: int, n2_max: int):
     """Stationary vector of the walk on the box, level n1 by level.
 
     Every level n1 >= 1 has up-block mu1c1 I, down-block lambda1 I and
     diagonal block T2 - c I, with T2 the n2 birth-death generator; the
-    threshold acts at level 0 only.  In T2's eigenbasis the levels
-    decouple into one three-term recurrence in n1 per mode, solved by
-    backward ratios, and one dense (N2+1)-square system is left at level 0
-    (spectral expansion: Mitrani & Chakka, Perf. Eval. 23, 1995).  One
-    step of iterative refinement follows.  Returns (probs, residual).
+    threshold acts at level 0 only.  In T2's eigenbasis (_level_spectrum)
+    the levels decouple into one three-term recurrence in n1 per mode,
+    solved by backward ratios, and one dense (N2+1)-square system is left
+    at level 0 (spectral expansion: Mitrani & Chakka, Perf. Eval. 23,
+    1995), factored in place.  One step of iterative refinement follows.
+    Returns (probs, residual).
     """
     box_moves = _box_moves(n1_max, n2_max, _walk_moves(params, n1_max, n2_max))
     import scipy.linalg
 
-    p, q = params.mu1c1, params.lambda1
-    up, down = params.mu2c2, params.lambda2
+    p, q, a = params.mu1c1, params.lambda1, params.a
     k = np.arange(n2_max + 1)
-    # D T2 D^-1 is symmetric tridiagonal for D = diag(sym); eigh_tridiagonal's
-    # default driver (stemr) is quadratic in N2 ("stev" took 17 s at 2,030)
-    sym = np.exp(0.5 * math.log(up / down) * k)
-    theta, vecs = scipy.linalg.eigh_tridiagonal(
-        -(up * (k < n2_max) + down * (k > 0)),
-        np.full(n2_max, math.sqrt(up * down)))
-    left = vecs.T    # scaled in place into W^T D, whose rows are the left
-    left *= sym      # eigenvectors of T2: left @ T2 = theta * left
+    sym = np.exp(0.5 * math.log(params.mu2c2 / params.lambda2) * k)
+    theta, left = _level_spectrum(params.mu2c2, params.lambda2, sym)
     # A level's coordinates x_n on ``left`` obey, per mode, x_n = s_n x_(n-1)
     # + t_n for n = 1..N1 (t = 0 in the homogeneous solve); s_n is in (0, rho1]
     s = np.zeros((n1_max + 2, k.size))
@@ -199,11 +227,17 @@ def _level_walk(params: ModelParams, n1_max: int, n2_max: int):
     cum = np.cumprod(s[:-1], axis=0)
     mass = left.sum(axis=1)    # probability a unit coordinate carries
     # Level-0 balance on x_0: left (T2 + E - p I) + lambda1 diag(s_1) left,
-    # with E the lambda1 down-moves above a; the column of state (0, 0)
-    # gives way to the total probability
-    level0 = (theta - p + q * s[1])[:, None] * left
-    level0[:, params.a + 1:] -= q * left[:, params.a + 1:]
-    level0[:, params.a:-1] += q * left[:, params.a + 1:]
+    # with E the lambda1 down-moves above a, so column k is (theta - p +
+    # q s_1 - q [k > a]) left[:, k] + q [a <= k < N2] left[:, k + 1]; the
+    # column of state (0, 0) gives way to the total probability.  Fortran
+    # order, like left, lets lu_factor work without a copy.
+    level0 = np.empty_like(left)
+    scale = (theta - p + q * s[1])[:, None]
+    for cols in blocks(k.size, k.size):
+        np.multiply(left[:, cols], scale - q * (k[cols] > a),
+                    out=level0[:, cols])
+        lo, hi = max(cols.start, a), min(cols.stop, n2_max)
+        level0[:, lo:hi] += q * left[:, lo + 1:hi + 1]
     level0[:, 0] = mass * cum.sum(axis=0)
     lu = scipy.linalg.lu_factor(level0, overwrite_a=True, check_finite=False)
 

@@ -9,9 +9,10 @@ from qwblock.errors import (BoxTooSmall, NonPositiveRate, QwblockError,
 from qwblock.model import BlockingPair, ModelParams
 from qwblock import oracle
 from qwblock.oracle import (_balance, _box_chain, _box_moves, _level_fits,
-                            _level_walk, _walk_moves, _walk_pin,
-                            _window_bottom, blocking_from_distribution,
-                            default_box, solve_limiting_walk, solve_prelimit)
+                            _level_spectrum, _level_walk, _walk_moves,
+                            _walk_pin, _window_bottom,
+                            blocking_from_distribution, default_box,
+                            solve_limiting_walk, solve_prelimit)
 from qwblock.solver import blocking
 
 from conftest import BASE, CASES, UNDERLOAD2
@@ -61,7 +62,7 @@ def test_limiting_walk_matches_golden(golden):
     # every base and overload2 point, and one underload2 point (0.7 s);
     # the frozen underload2 values came from a sparse LU and lie 1.0-1.1e-12
     # (relative) from a solve refined with a long-double residual, which
-    # the level solve meets to 3.2e-15, so they are held to 2e-12
+    # the level solve meets to 6.3e-15 at a = 5, so they are held to 2e-12
     for (name, a), row in sorted(golden.items()):
         if name == "underload2" and a != 5:
             continue
@@ -138,6 +139,43 @@ def test_level_walk_matches_box_chain(params, box):
     probs, residual = _level_walk(params, *box)
     np.testing.assert_allclose(probs, ref, rtol=0, atol=2e-15)
     assert residual <= 1e-15 and ref_residual <= 1e-15
+
+
+# lambda2 = mu2c2 (D = I) up to N2 = 2,030, both symmetriser extremes of
+# LEVEL_BOXES, and underload2's rates at its default N2
+@pytest.mark.parametrize("up, down, n2_max", [
+    *[(2.0, 2.0, n2_max) for n2_max in (1, 40, 300, 744, 2030)],
+    (5.5, 5.0, 289), (2.0, 5.0, 744),
+    (UNDERLOAD2.mu2c2, UNDERLOAD2.lambda2, 2030),
+])
+def test_level_spectrum_is_the_left_eigenbasis_of_t2(up, down, n2_max):
+    k = np.arange(n2_max + 1)
+    sym = np.exp(0.5 * math.log(up / down) * k)
+    theta, left = _level_spectrum(up, down, sym)
+    # left @ T2 from T2's three diagonals: row k of T2 holds state k's moves
+    applied = -left * (up * (k < n2_max) + down * (k > 0))
+    applied[:, 1:] += up * left[:, :-1]
+    applied[:, :-1] += down * left[:, 1:]
+    # column k of left carries the factor sym_k; without it rows are unit
+    residual = (applied - theta[:, None] * left) / sym
+    assert np.max(np.abs(residual)) <= 1e-13 * (up + down)
+    np.testing.assert_allclose((left / sym**2) @ left.T, np.eye(k.size),
+                               rtol=0, atol=1e-13)
+    assert theta[0] == 0.0 and np.all(theta[1:] < 0.0)
+
+
+def test_level_walk_factors_level0_in_place():
+    # two (N2+1)-square arrays, the eigenbasis and the level-0 matrix; a
+    # copy of the latter for lu_factor raised the peak to 3.45 of them
+    import scipy.linalg    # noqa: F401  (its import is not the walk's)
+    n2_max = 744
+    tracemalloc.start()
+    try:
+        _level_walk(BASE.with_a(2), 30, n2_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * (n2_max + 1) ** 2 * 8
 
 
 # just past the rule: growth to 1.05e6, decay to 9.5e-151, N2 + 1 = 3,001
