@@ -1,5 +1,9 @@
 """Exception hierarchy for the qwblock package."""
 
+import functools
+
+import numpy as np
+
 
 class QwblockError(Exception):
     """Base class for all qwblock errors."""
@@ -54,3 +58,21 @@ class BoxTooSmall(QwblockError):
 
 class StateSpaceTooLarge(QwblockError):
     """A chain's state space exceeds the supported size."""
+
+
+class OutOfRange(QwblockError):
+    """Rates or a threshold that take a solve outside double precision:
+    an overflow, or an invalid or divide-by-zero operation."""
+
+
+def refuse_float_errors(func):
+    """func with NumPy's floating-point errors raised, and those and
+    math's overflow and zero division re-raised as OutOfRange."""
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return func(*args, **kwargs)
+        except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+            raise OutOfRange(f"{func.__name__}: {exc}") from None
+    return checked

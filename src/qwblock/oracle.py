@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoxTooSmall, NonPositiveRate, SingularSystem,
-                     StateSpaceTooLarge)
+                     StateSpaceTooLarge, refuse_float_errors)
 from .model import BlockingPair, ModelParams, as_threshold, validate
 from .quadrature import blocks
 
@@ -119,7 +119,9 @@ def _box_chain(side1: int, side2: int, moves, pin=(0, 0)):
     pi[pin] = 1 (Stewart, Introduction to the Numerical Solution of Markov
     Chains, 1994, sec. 2.3) and the system solved by sparse LU; ``pin``
     should sit near the mode so the solved ratios stay in range.  Returns
-    (probs on the box, max |_balance|).
+    (probs on the box, max |_balance|); SingularSystem when the solved
+    mass is not finite and positive, as when rates near 1e-308 underflow
+    in the LU or near 1e308 overflow.
     """
     import scipy.sparse
     import scipy.sparse.linalg
@@ -144,9 +146,16 @@ def _box_chain(side1: int, side2: int, moves, pin=(0, 0)):
     rhs = np.zeros(idx.size)
     rhs[pin] = 1.0
     # minimum degree on A^T + A fits the generators' symmetric 5-point pattern
-    probs = scipy.sparse.linalg.spsolve(qt, rhs, permc_spec="MMD_AT_PLUS_A")
+    with warnings.catch_warnings():    # a singular LU returns NaN
+        warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
+        probs = scipy.sparse.linalg.spsolve(qt, rhs,
+                                            permc_spec="MMD_AT_PLUS_A")
     probs = np.maximum(probs.reshape(idx.shape), 0.0)
-    probs /= probs.sum()
+    mass = probs.sum()
+    if not 0.0 < mass < math.inf:
+        raise SingularSystem(f"chain generator is singular in double "
+                             f"precision: solved mass {float(mass)!r}")
+    probs /= mass
     return probs, float(np.max(np.abs(_balance(probs, box_moves))))
 
 
@@ -345,6 +354,7 @@ def _window_bottom(load: float, cap: int) -> int:
     return top
 
 
+@refuse_float_errors
 def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
                    c1: float, c2: float, a: int, nu: float) -> BlockingPair:
     """Exact blocking of the finite pre-limit chain with scaling factor nu.
@@ -352,7 +362,9 @@ def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
     Capacities are C_i = nu * c_i (rounded with a warning when not
     integral).  A redirected DC-1 request is lost when N1 = C1 and
     C2 - a <= N2 <= C2; DC-2 requests are lost when N2 = C2.  Rates,
-    capacities and nu must be positive and finite, a a non-negative int.
+    capacities and nu must be positive and finite, and so must the loads
+    nu*lambda/mu, which the window and the pin round to ints; a is a
+    non-negative int.
     Overflow never reaches DC 1, so m1 keeps to [_window_bottom, C1].
     """
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2),
@@ -361,13 +373,16 @@ def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
         if not 0.0 < value < math.inf:
             raise NonPositiveRate(f"{name} must be positive and finite, "
                                   f"got {value!r}")
+    big1, big2 = nu * lambda1, nu * lambda2
+    if not max(big1 / mu1, big2 / mu2) < math.inf:
+        raise NonPositiveRate(f"loads nu*lambda/mu must be finite, got "
+                              f"{big1 / mu1!r}, {big2 / mu2!r}")
     a = as_threshold(a)
     cap1 = nu * c1
     cap2 = nu * c2
     if abs(cap1 - round(cap1)) > 1e-9 or abs(cap2 - round(cap2)) > 1e-9:
         warnings.warn(f"nu*c = ({cap1}, {cap2}) rounded to integers")
     cap1, cap2 = round(cap1), round(cap2)
-    big1, big2 = nu * lambda1, nu * lambda2
     lo = _window_bottom(big1 / mu1, cap1)
 
     def moves(n1, m2):

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .boundary import BoundaryCache, boundary_cache, phi2
-from .errors import KernelZeroOnCut, NegativeProbability, SingularSystem
+from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
+                     refuse_float_errors)
 from .kernel import kernel_value, x_roots
 from .model import BlockingPair, ModelParams, isolated_limits, validate
 from .quadrature import QuadConfig, blocks, cosine_grid
@@ -263,6 +264,7 @@ def solve_boundary(params: ModelParams,
     return BoundaryVector(p=np.maximum(p, 0.0), seed_scale=scale, cond=cond)
 
 
+@refuse_float_errors
 def sweep(params: ModelParams, thresholds,
           cfg: QuadConfig | None = None) -> list[BlockingReport]:
     """Blocking reports at each threshold, params.a unread.  alpha_{n,k}
@@ -281,6 +283,7 @@ def sweep(params: ModelParams, thresholds,
         baseline_a0=a0, normalization_residual=abs(
             p.lambda1 * pair.b1 + p.lambda2 * pair.b2 - p.drift),
         diagnostics={"grid_size": cache.cfg.grid_size,
+                     "phi1_nodes": cache.phi1_nodes,
                      "condition_estimate": bvec.cond})
         for bvec, pair in zip(bvecs, pairs)]
 

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwblock.cli import SWEEP_HEADER, build_parser, main
+from qwblock.errors import NonPositiveRate
+from qwblock.oracle import solve_prelimit
 
 ARGS = ["--lambda1", "3", "--lambda2", "5", "--mu2", "2", "--grid-size", "64"]
 
@@ -247,6 +249,28 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+# loads nu*lambda/mu that overflow to inf, which the window bottom and the
+# mode pin used to pass to int()
+OVERFLOWING_LOADS = [
+    dict(lambda1=7.452, lambda2=1e308, mu1=1e-308, mu2=9.875, c1=1.0,
+         c2=8.69, a=5, nu=2.5),
+    dict(lambda1=1e308, lambda2=5.0, mu1=1.0, mu2=1e-308, c1=1.0, c2=1.0,
+         a=0, nu=1e9),
+]
+
+
+@pytest.mark.parametrize("kwargs", OVERFLOWING_LOADS, ids=str)
+def test_prelimit_refuses_an_infinite_load(capsys, kwargs):
+    code = main(["prelimit", *(arg for name, value in kwargs.items()
+                               for arg in (f"--{name}", repr(value)))])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: NonPositiveRate:")
+    assert "Traceback" not in err
+    with pytest.raises(NonPositiveRate, match="loads"):
+        solve_prelimit(**kwargs)
+
+
 @pytest.mark.parametrize("value", ["abc", "15", "100000000"])
 def test_bad_grid_size_variable_is_an_error_not_a_traceback(monkeypatch, capsys,
                                                             value):
@@ -302,9 +326,35 @@ def oracle_argv(draw):
             "--grid-size", "64"]
 
 
-@settings(max_examples=80, deadline=None)
-@given(oracle_argv())
-def test_oracle_commands_exit_cleanly(argv):
+# log-uniform on [1e-3, 1e3], and the extremes of a double
+FUZZ_RATE = st.one_of(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+                      st.sampled_from([1e308, 1e-308]))
+
+
+@st.composite
+def analytic_argv(draw):
+    """``solve`` or ``sweep`` at grid size 64, or ``prelimit`` with
+    capacities nu*c in 0..100, on any rates and threshold."""
+    command = draw(st.sampled_from(["solve", "sweep", "prelimit"]))
+    values = {name: draw(FUZZ_RATE)
+              for name in ("lambda1", "lambda2", "mu1", "mu2")}
+    if command == "prelimit":
+        nu = draw(st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e))
+        for c in ("c1", "c2"):
+            values[c] = draw(st.integers(0, 100)) / nu
+        extra = ["--nu", repr(nu)]
+    elif command == "sweep":
+        lo = draw(st.integers(0, 250))
+        extra = ["--a-min", str(lo), "--a-max",
+                 str(draw(st.integers(lo, 250))), "--grid-size", "64"]
+    else:
+        extra = ["--grid-size", "64"]
+    return [command, *(arg for name, value in values.items()
+                       for arg in (f"--{name}", repr(value))),
+            "--a", str(draw(st.integers(0, 250))), *extra]
+
+
+def _exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -315,3 +365,15 @@ def test_oracle_commands_exit_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error:")
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_argv())
+def test_oracle_commands_exit_cleanly(argv):
+    _exits_cleanly(argv)
+
+
+@settings(max_examples=500, deadline=None)
+@given(analytic_argv())
+def test_analytic_and_prelimit_commands_exit_cleanly(argv):
+    _exits_cleanly(argv)

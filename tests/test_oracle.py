@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from qwblock.errors import (BoxTooSmall, NonPositiveRate, QwblockError,
-                            SingularSystem, StateSpaceTooLarge)
+from qwblock.errors import (BoxTooSmall, NonPositiveRate, OutOfRange,
+                            QwblockError, SingularSystem, StateSpaceTooLarge)
 from qwblock.model import BlockingPair, ModelParams
 from qwblock import oracle
 from qwblock.oracle import (_balance, _box_chain, _box_moves, _level_fits,
@@ -354,6 +355,26 @@ def test_prelimit_rejects_invalid_input(bad):
             "c1": 1.0, "c2": 1.0, "a": 1, "nu": 3.0, **bad}
     with pytest.raises(NonPositiveRate):
         solve_prelimit(**args)
+
+
+# n2's up rate nu*(lambda1 + lambda2) overflows, or the death rates m * mu
+@pytest.mark.parametrize("rates", [(1e308, 1e308, 1.0, 1.0),
+                                   (0.0043, 0.9, 1e308, 1e308)])
+def test_prelimit_refuses_rates_beyond_double_precision(rates):
+    with pytest.raises(OutOfRange):
+        solve_prelimit(*rates, 1.0, 2.0, a=1, nu=1.0)
+
+
+# DC 2's rates of 1e-308 underflow in the sparse LU, which finds it
+# singular; lambda1 = 1e308 against rates near 1 gives a NaN solution
+@pytest.mark.parametrize("args", [
+    (1.0, 1e-308, 1.0, 1e-308, 1.0, 2.0, 2, 1.0),
+    (1e308, 0.031935, 0.53014, 156.06, 90.385, 211.76, 61, 0.38723)])
+def test_prelimit_refuses_a_generator_singular_in_double_precision(args):
+    with pytest.raises(SingularSystem, match="singular"):
+        with warnings.catch_warnings():    # nu*c is not integral
+            warnings.simplefilter("ignore", UserWarning)
+            solve_prelimit(*args)
 
 
 @pytest.mark.parametrize("box", [(-5, 3), (0, 60), (60, 0)])

@@ -6,7 +6,8 @@ import pytest
 
 from qwblock import solver
 from qwblock.boundary import BoundaryCache, boundary_cache
-from qwblock.errors import NonPositiveRate, QwblockError, SingularSystem
+from qwblock.errors import (NonPositiveRate, OutOfRange, QwblockError,
+                            SingularSystem)
 from qwblock.kernel import x_of_theta
 from qwblock.model import ModelParams
 from qwblock.quadrature import QuadConfig
@@ -117,6 +118,45 @@ def test_blocking_report_contents(bvec2):
     assert set(d) == {"blocking", "p00", "boundary", "baseline_inf",
                       "baseline_a0", "normalization_residual", "diagnostics"}
     assert d["diagnostics"]["grid_size"] == 128
+    assert d["diagnostics"]["phi1_nodes"] == 65
+
+
+def _stable_draws(count, seed):
+    """Rates U[0.5, 10] and a in 0..200, stable sets only."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        p = ModelParams(*rng.uniform(0.5, 10.0, 4), a=int(rng.integers(201)))
+        if p.lambda1 > p.mu1c1 and p.mu1c1 + p.mu2c2 < p.lambda1 + p.lambda2:
+            draws.append(p)
+    return draws
+
+
+@pytest.mark.parametrize("params", [
+    *(p.with_a(a) for p in CASES.values() for a in (0, 2, 10, 30, 100)),
+    *_stable_draws(20, seed=21)], ids=str)
+def test_interpolated_phi1_solves_like_the_direct_tabulation(params):
+    # phi1 on the theta grid comes from a Chebyshev interpolant of log phi1;
+    # the same systems solved on the direct kernel sums give the same B
+    def b1_b2(cache):
+        cm = coefficients(params, cache)
+        bvec = solve_boundary(params, cache=cache, cm=cm)
+        return np.array([bvec.p.sum(), cm.p1_one @ bvec.p])
+
+    cache = boundary_cache(params)
+    direct = dataclasses.replace(
+        cache, phi1_theta=cache.phi1_many(cache.x_theta))
+    np.testing.assert_allclose(b1_b2(cache), b1_b2(direct), rtol=0,
+                               atol=1e-14)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(65.1, 1e308, 0.4977, 53.99, a=24),    # rate_sum ** 2
+    ModelParams(0.8808, 41.15, 0.1993, 0.004455, a=206),    # r2 ** a
+], ids=str)
+def test_rates_beyond_double_precision_are_refused(params):
+    with pytest.raises(OutOfRange):
+        blocking(params, CFG)
 
 
 def test_condition_number_is_reported(cache, bvec2):
