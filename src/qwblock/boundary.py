@@ -120,12 +120,14 @@ def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
             * (cut_hilbert(g) - mu2 * nodes * regular))
 
 
-def _phi1_values(params: ModelParams, y_nodes: np.ndarray,
-                 phi1_weights: np.ndarray, xs) -> np.ndarray:
-    """phi1 at each x, tabulated in row blocks of the (x, y) kernel matrix;
-    raises KernelZeroOnCut if K(x, .) nearly vanishes on a node."""
-    xs = np.array(xs, dtype=float)
-    total = np.empty(xs.size)
+def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
+                weights: np.ndarray, xs) -> np.ndarray:
+    """Sum over the cut nodes y of weights / K(x, y) at each x of xs: one
+    sum per x for 1-D weights, a column of sums per x for 2-D ones.  Runs
+    in row blocks of the (x, y) kernel matrix and raises KernelZeroOnCut
+    before it divides if K(x, .) nearly vanishes on a node."""
+    xs = np.asarray(xs, dtype=float)
+    total = np.empty(weights.shape[:-1] + xs.shape)
     for rows in blocks(xs.size, y_nodes.size):
         x = xs[rows]
         kern = kernel_value(params, x[:, None], y_nodes[None, :])
@@ -134,8 +136,18 @@ def _phi1_values(params: ModelParams, y_nodes: np.ndarray,
         if bad.any():
             raise KernelZeroOnCut(
                 f"K({x[bad][0]}, y) vanishes on the cut [y1, y2]")
-        total[rows] = np.sum(phi1_weights / kern, axis=1)
-    return np.exp(xs / math.pi * total)
+        # a row sum per x keeps phi1 at x independent of the block x is in
+        total[..., rows] = (np.sum(weights / kern, axis=1) if weights.ndim == 1
+                            else weights @ (1.0 / kern).T)
+    return total
+
+
+def _phi1_values(params: ModelParams, y_nodes: np.ndarray,
+                 phi1_weights: np.ndarray, xs) -> np.ndarray:
+    """phi1 at each x; KernelZeroOnCut if K(x, .) vanishes on the cut."""
+    xs = np.array(xs, dtype=float)
+    return np.exp(xs / math.pi
+                  * kernel_sums(params, y_nodes, phi1_weights, xs))
 
 
 def _check_kernel_on_cut(params: ModelParams, y_nodes: np.ndarray,
@@ -196,22 +208,22 @@ def _phi1_interpolated(params: ModelParams, bp: BranchPoints,
 class BoundaryCache:
     """Tabulated boundary data on a shared cosine grid over [y1, y2].
 
-    Every downstream integral against the sin(Theta1)*exp(-Phi1) weight
-    reuses these arrays.  phi1_weights is y_weights times g of
-    :func:`phi1_exponent`, the integrand numerator of log phi1.  x_theta
-    and phi1_theta hold x(theta) and phi1 on the coefficient assembly's
-    grid theta = pi*j/n, j = 0..n; phi1_theta comes from a Chebyshev
-    interpolant of log phi1 on [x1, x2] through phi1_nodes Lobatto points,
-    65 on most stable sets, up to n + 1 where log phi1 is hard to resolve.
+    cut_base is the one weight of every cut integral against the boundary
+    polynomial, w (lambda2 - mu2c2 y^2) sin(Theta1) exp(-Phi1) with w the
+    grid weights; phi1_weights is w times g of :func:`phi1_exponent`, the
+    integrand numerator of log phi1.  Both are divided by K(x, y) only in
+    :func:`kernel_sums`.  x_theta and phi1_theta hold x(theta) and phi1 on
+    the coefficient assembly's grid theta = pi*j/n, j = 0..n; phi1_theta
+    comes from a Chebyshev interpolant of log phi1 on [x1, x2] through
+    phi1_nodes Lobatto points, 65 on most stable sets, up to n + 1 where
+    log phi1 is hard to resolve.
     """
 
     params: ModelParams
     bp: BranchPoints
     cfg: QuadConfig
     y_nodes: np.ndarray = field(repr=False)
-    y_weights: np.ndarray = field(repr=False)
-    sin_theta1: np.ndarray = field(repr=False)
-    exp_neg_phi1: np.ndarray = field(repr=False)
+    cut_base: np.ndarray = field(repr=False)
     phi1_weights: np.ndarray = field(repr=False)
     x_theta: np.ndarray = field(repr=False)
     phi1_theta: np.ndarray = field(repr=False)
@@ -231,9 +243,10 @@ class BoundaryCache:
             params, np.linspace(0.0, math.pi, cfg.grid_size + 1))
         phi1_theta, phi1_nodes = _phi1_interpolated(
             params, bp, nodes, phi1_weights, x_theta)
+        cut_base = (weights * (params.lambda2 - params.mu2c2 * nodes * nodes)
+                    * np.sin(th1) * np.exp(-phi_big))
         return cls(params=params, bp=bp, cfg=cfg, y_nodes=nodes,
-                   y_weights=weights, sin_theta1=np.sin(th1),
-                   exp_neg_phi1=np.exp(-phi_big), phi1_weights=phi1_weights,
+                   cut_base=cut_base, phi1_weights=phi1_weights,
                    x_theta=x_theta, phi1_theta=phi1_theta,
                    phi1_nodes=phi1_nodes)
 

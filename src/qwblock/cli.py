@@ -22,8 +22,7 @@ import sys
 
 from . import __version__
 from .errors import BadGridSize, QwblockError
-from .model import (CONFIG_KEYS, ModelParams, params_from_json, read_config,
-                    validate)
+from .model import CONFIG_KEYS, ModelParams, read_config, validate
 from .oracle import (blocking_from_distribution, solve_limiting_walk,
                      solve_prelimit)
 from .quadrature import QuadConfig
@@ -48,15 +47,19 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", help="output file (default: stdout)")
 
 
+def _read_params(args) -> dict:
+    """CONFIG_KEYS and a, read by read_config from --config or else from
+    the flags; an explicit --a overrides the file's a."""
+    flags = {k: getattr(args, k) for k in CONFIG_KEYS
+             if getattr(args, k) is not None}
+    doc = read_config(args.config or flags)
+    return doc if args.a is None else {**doc, "a": args.a}
+
+
 def _params(args) -> ModelParams:
-    if args.config:
-        base = params_from_json(args.config)
-        return validate(base.with_a(base.a if args.a is None else args.a))
-    if args.lambda1 is None or args.lambda2 is None:
-        raise QwblockError("--lambda1 and --lambda2 (or --config) are required")
-    return validate(ModelParams(args.lambda1, args.lambda2,
-                                args.mu1 * args.c1, args.mu2 * args.c2,
-                                args.a or 0))
+    v = _read_params(args)
+    return validate(ModelParams(v["lambda1"], v["lambda2"], v["mu1"] * v["c1"],
+                                v["mu2"] * v["c2"], v["a"]))
 
 
 def _cfg(args) -> QuadConfig:
@@ -112,12 +115,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_prelimit(args) -> int:
-    doc = read_config(args.config) if args.config else vars(args)
-    missing = [k for k in CONFIG_KEYS if doc.get(k) is None]
-    if missing:
-        raise QwblockError(f"missing {', '.join(missing)} (flags or --config)")
-    a = (doc.get("a") or 0) if args.a is None else args.a
-    pair = solve_prelimit(*(float(doc[k]) for k in CONFIG_KEYS), a, args.nu)
+    v = _read_params(args)
+    pair = solve_prelimit(*(v[k] for k in CONFIG_KEYS), v["a"], args.nu)
     _emit(args, json.dumps({"nu": args.nu, "B1": pair.b1, "B2": pair.b2},
                            indent=2, sort_keys=True) + "\n")
     return 0

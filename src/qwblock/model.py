@@ -114,9 +114,9 @@ def read_config(source) -> dict:
     mapping or from the JSON file at the path ``source``.
 
     Raises QwblockError for an unreadable file, malformed JSON, a document
-    that is not an object, or a missing or non-numeric key, and
-    NonPositiveRate for an ``a`` that as_threshold refuses (an integral
-    float such as 2.0 is taken as 2).
+    that is not an object, missing keys (all named) or a non-numeric one,
+    and NonPositiveRate for an ``a`` that as_threshold refuses (an
+    integral float such as 2.0 is taken as 2).
     """
     try:
         if isinstance(source, (str, os.PathLike)):
@@ -124,25 +124,13 @@ def read_config(source) -> dict:
                 source = json.load(fh)
         if not isinstance(source, dict):
             raise QwblockError("the configuration is not a JSON object")
+        missing = [k for k in CONFIG_KEYS if k not in source]
+        if missing:
+            raise QwblockError(f"missing {', '.join(missing)}")
         a = source.get("a", 0)
         if isinstance(a, float) and a.is_integer():
             a = int(a)
         return {**{k: float(source[k]) for k in CONFIG_KEYS},
                 "a": as_threshold(a)}
-    except KeyError as exc:
-        raise QwblockError(f"configuration key {exc} is missing") from exc
     except (OSError, TypeError, ValueError) as exc:
         raise QwblockError(f"unusable configuration: {exc}") from exc
-
-
-def params_from_dict(doc: dict) -> ModelParams:
-    """ModelParams from a config mapping with individual mu_i, c_i; only
-    the products mu_i * c_i are retained."""
-    v = read_config(doc)
-    return ModelParams(v["lambda1"], v["lambda2"], v["mu1"] * v["c1"],
-                       v["mu2"] * v["c2"], v["a"])
-
-
-def params_from_json(path: str) -> ModelParams:
-    """Load ModelParams from a JSON configuration file."""
-    return params_from_dict(read_config(path))

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryCache, boundary_cache, phi2
+from .boundary import BoundaryCache, boundary_cache, kernel_sums, phi2
 from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
                      refuse_float_errors)
 from .kernel import kernel_value, x_roots
@@ -30,7 +30,6 @@ class BoundaryVector:
     """Coefficients p(0, 0..a) of the boundary polynomial."""
 
     p: np.ndarray
-    seed_scale: float    # the normalization-determined p(0,0)
     cond: float = 0.0    # of B1 or B2, the larger (solve_boundary); 0 at a = 0
 
     @property
@@ -70,7 +69,8 @@ class BlockingReport:
 
 
 def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
-    """Coefficients of the boundary linear system, for a >= 1.
+    """Coefficients of the boundary linear system; at a = 0 there is no
+    system, only p1_one.
 
     The inner cut integrals J_k are tabulated once per theta node and
     reused for every (n, k) pair; the outer theta integrals use the
@@ -79,8 +79,12 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     """
     p = params
     a = p.a
-    if a < 1:
-        raise ValueError("assemble requires a >= 1")
+    # inner integrals J_k(theta) = sum_y base y^(k-1) / D(y, theta)
+    y = cache.y_nodes
+    y_base = y ** (np.arange(a + 1)[:, None] - 1) * cache.cut_base
+    p1_one = _p1_one(p, cache, y_base)
+    if a == 0:
+        return CoefficientMatrix(np.zeros((0, 1)), np.zeros(0), p1_one)
     n_t = cache.cfg.grid_size
     theta = np.linspace(0.0, math.pi, n_t + 1)
     w_t = np.full(n_t + 1, math.pi / n_t)
@@ -103,9 +107,6 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     v_t = outer2 * r2 * (1.0 - x_t)
     r2_pow = (r2 ** (np.arange(a + 1) - 1.0))[:, None]
 
-    # inner integrals J_k(theta) = sum_y base y^(k-1) / D(y, theta)
-    y = cache.y_nodes
-    y_base = y ** (np.arange(a + 1)[:, None] - 1) * _cut_base(p, cache)
     quad_y = (p.mu2c2 * y * y + p.lambda2)[:, None]
     cross_y = (2.0 * math.sqrt(p.mu2c2 * p.lambda2) * y)[:, None]
     # sin(k theta_j) = sin(pi (k j mod 2 n_t) / n_t), from one table
@@ -121,34 +122,17 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
         beta += sin_k[1:a + 1] @ outer1[cols]
     alpha *= 2.0 * p.mu2c2 / math.pi ** 2
     beta *= 2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)
-    return CoefficientMatrix(alpha, beta, _p1_one(p, cache, y_base))
-
-
-def coefficients(params: ModelParams,
-                 cache: BoundaryCache) -> CoefficientMatrix:
-    """assemble at a >= 1; at a = 0 there is no system, only p1_one."""
-    if params.a:
-        return assemble(params, cache)
-    return CoefficientMatrix(np.zeros((0, 1)), np.zeros(0), _p1_one(
-        params, cache, (_cut_base(params, cache) / cache.y_nodes)[None, :]))
-
-
-def _cut_base(p: ModelParams, cache: BoundaryCache) -> np.ndarray:
-    """The weight of every cut integral against the boundary polynomial."""
-    y = cache.y_nodes
-    return (cache.y_weights * (p.lambda2 - p.mu2c2 * y * y)
-            * cache.sin_theta1 * cache.exp_neg_phi1)
+    return CoefficientMatrix(alpha, beta, p1_one)
 
 
 def _p1_one(p: ModelParams, cache: BoundaryCache,
             y_base: np.ndarray) -> np.ndarray:
     """eval_P1 at x = 1 as weights on p(0, 0..a), from y_base[k] =
-    y^(k-1) _cut_base; phi1(1) refuses a vanishing K(1, y) before 1/K."""
-    phi1_one = cache.phi1(1.0)
-    row = p.lambda1 / (p.lambda2 * math.pi) * (
-        y_base @ (1.0 / kernel_value(p, 1.0, cache.y_nodes)))
+    y^(k-1) cut_base."""
+    row = p.lambda1 / (p.lambda2 * math.pi) * kernel_sums(
+        p, cache.y_nodes, y_base, [1.0])[:, 0]
     row[0] += 1.0
-    return phi1_one * row
+    return cache.phi1(1.0) * row
 
 
 def eval_P1(params: ModelParams, cache: BoundaryCache,
@@ -158,13 +142,10 @@ def eval_P1(params: ModelParams, cache: BoundaryCache,
     p = params
     coeffs = bvec.p if isinstance(bvec, BoundaryVector) else np.asarray(bvec)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    phi1_x = cache.phi1_many(xs)  # KernelZeroOnCut if K(x, .) vanishes
+    phi1_x = cache.phi1_many(xs)
     y = cache.y_nodes
-    weight = _cut_base(p, cache) * np.polyval(coeffs[::-1], y)
-    integral = np.empty(xs.size)
-    for rows in blocks(xs.size, y.size):
-        integral[rows] = np.sum(
-            weight / (y * kernel_value(p, xs[rows, None], y)), axis=1)
+    integral = kernel_sums(
+        p, y, cache.cut_base * np.polyval(coeffs[::-1], y) / y, xs)
     out = (phi1_x * float(coeffs[0])
            + xs * p.lambda1 * phi1_x / (p.lambda2 * math.pi) * integral)
     return out if np.ndim(x) else float(out[0])
@@ -229,7 +210,7 @@ def solve_boundary(params: ModelParams,
     """
     params = validate(params)
     cache = cache or boundary_cache(params, cfg or QuadConfig())
-    cm = cm or coefficients(params, cache)
+    cm = cm or assemble(params, cache)
     a = params.a
     # B1, B2 before scaling are c0 + c^T u, u = M^-1 rhs, (c0, c) the
     # columns of cb.  Changes in M, rhs bounded by eps E, eps f move B
@@ -261,7 +242,7 @@ def solve_boundary(params: ModelParams,
     p = scale * unscaled
     if np.any(p < -1e-8):
         raise NegativeProbability(f"boundary probabilities {p}")
-    return BoundaryVector(p=np.maximum(p, 0.0), seed_scale=scale, cond=cond)
+    return BoundaryVector(p=np.maximum(p, 0.0), cond=cond)
 
 
 @refuse_float_errors
@@ -273,7 +254,7 @@ def sweep(params: ModelParams, thresholds,
     p, thresholds = params, list(thresholds)
     top = validate(p.with_a(max(thresholds, default=0)))
     cache = boundary_cache(top, cfg)
-    cm = coefficients(top, cache)
+    cm = assemble(top, cache)
     bvecs = [solve_boundary(p.with_a(a), cfg, cache, cm) for a in thresholds]
     pairs = [BlockingPair(float(b.p.sum()), float(cm.p1_one[:b.p.size] @ b.p))
              for b in bvecs]

@@ -85,8 +85,12 @@ def test_phi1_exponent_matches_frozen_grid512(name):
                                 QuadConfig(PHI1_GOLDEN["grid_size"]))
     stride = PHI1_GOLDEN["stride"]
     np.testing.assert_array_equal(cache.y_nodes[::stride], frozen["y"])
-    np.testing.assert_allclose(cache.exp_neg_phi1[::stride],
-                               frozen["exp_neg_phi1"], rtol=1e-10, atol=0)
+    params, bp = cache.params, cache.bp
+    y, w = cosine_grid(bp.y1, bp.y2, PHI1_GOLDEN["grid_size"])
+    g = (params.lambda2 - params.mu2c2 * y * y) * theta1(params, y) / y
+    np.testing.assert_allclose(np.exp(-phi1_exponent(params, bp, y, w, g))
+                               [::stride], frozen["exp_neg_phi1"],
+                               rtol=1e-10, atol=0)
 
 
 def test_phi1_exponent_rejects_outside_cut():
@@ -114,8 +118,16 @@ def test_cache_arrays(cache64):
     bp = cache64.bp
     assert cache64.y_nodes.shape == (64,)
     assert np.all((cache64.y_nodes > bp.y1) & (cache64.y_nodes < bp.y2))
-    assert np.all(cache64.sin_theta1 >= 0.0)
-    assert np.all(cache64.exp_neg_phi1 > 0.0)
+    # w (lambda2 - mu2c2 y^2) sin(Theta1) exp(-Phi1): lambda2 > mu2c2 y^2
+    # on the cut, and Theta1 lies in [0, pi]
+    p, y = cache64.params, cache64.y_nodes
+    _, w = cosine_grid(bp.y1, bp.y2, 64)
+    th1 = theta1(p, y)
+    g = (p.lambda2 - p.mu2c2 * y * y) * th1 / y
+    assert np.all(cache64.cut_base >= 0.0)
+    np.testing.assert_allclose(
+        cache64.cut_base, w * (p.lambda2 - p.mu2c2 * y * y) * np.sin(th1)
+        * np.exp(-phi1_exponent(p, bp, y, w, g)), rtol=1e-15, atol=0)
 
 
 def test_phi1_normalization_and_positivity(cache64):
@@ -145,7 +157,7 @@ def test_phi1_many_does_not_depend_on_call_order():
     np.testing.assert_array_equal(batch.phi1_many(xs), one_by_one)
     np.testing.assert_array_equal(batch.phi1_many(xs[:5]), one_by_one[:5])
     # reference: the cut integral of log phi1, one x at a time
-    y, w = batch.y_nodes, batch.y_weights
+    y, w = cosine_grid(batch.bp.y1, batch.bp.y2, 64)
     numer = (BASE.lambda2 - BASE.mu2c2 * y * y) * theta1(BASE, y) / y
     reference = [math.exp(x / math.pi * np.sum(
         w * numer / kernel_value(BASE, x, y))) for x in xs]

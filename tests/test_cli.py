@@ -37,6 +37,14 @@ def test_missing_rates_is_an_error(capsys):
     assert "lambda1" in capsys.readouterr().err
 
 
+def test_prelimit_without_lambda1_names_it(capsys):
+    code = main(["prelimit", "--lambda2", "5", "--nu", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "lambda1" in err
+    assert "lambda2" not in err and "Traceback" not in err
+
+
 def test_unstable_rates_exit_code(capsys):
     code = main(["solve", "--lambda1", "1", "--lambda2", "5",
                  "--mu2", "2"])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qwblock.errors import NonPositiveRate, QwblockError, Unstable
+from qwblock.cli import _params, build_parser
 from qwblock.model import (BlockingPair, ModelParams, isolated_limits,
-                           params_from_dict, params_from_json, read_config,
-                           validate)
+                           read_config, validate)
 
 from conftest import BASE, OVERLOAD2, UNDERLOAD2
 
@@ -85,15 +85,25 @@ def test_blocking_pair_iterates():
     assert (b1, b2) == (0.25, 0.5)
 
 
-def test_params_from_dict_forms_products():
-    p = params_from_dict({"lambda1": 3, "lambda2": 5, "mu1": 0.5, "mu2": 4,
-                          "c1": 2, "c2": 0.5, "a": 3})
-    assert p == ModelParams(3.0, 5.0, 1.0, 2.0, 3)
+def _cli_params(*argv):
+    return _params(build_parser().parse_args(["solve", *argv]))
 
 
-def test_params_from_dict_missing_key():
-    with pytest.raises(QwblockError):
-        params_from_dict({"lambda1": 3})
+def test_cli_params_form_products(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lambda1": 3, "lambda2": 5, "mu1": 0.5,
+                                "mu2": 4, "c1": 2, "c2": 0.5, "a": 3}))
+    assert _cli_params("--config", str(path)) == ModelParams(3.0, 5.0, 1.0,
+                                                             2.0, 3)
+    assert _cli_params("--lambda1", "3", "--lambda2", "5", "--mu1", "0.5",
+                       "--c1", "2", "--mu2", "4", "--c2", "0.5",
+                       "--a", "3") == ModelParams(3.0, 5.0, 1.0, 2.0, 3)
+
+
+def test_read_config_names_every_missing_key():
+    with pytest.raises(QwblockError, match="missing lambda2, mu1, mu2, c1, "
+                       "c2$"):
+        read_config({"lambda1": 3})
 
 
 @pytest.mark.parametrize("doc", [
@@ -110,7 +120,7 @@ def test_read_config_rejects_unusable_documents(tmp_path, doc):
     with pytest.raises(QwblockError):
         read_config(str(path))
     with pytest.raises(QwblockError):
-        params_from_dict(doc)
+        read_config(doc)
 
 
 RATES_DOC = {"lambda1": 3, "lambda2": 5, "mu1": 1, "mu2": 2, "c1": 1, "c2": 1}
@@ -131,12 +141,13 @@ def test_read_config_takes_an_integral_float_threshold(tmp_path):
     path.write_text(json.dumps({**RATES_DOC, "a": 2.0}))
     a = read_config(str(path))["a"]
     assert a == 2 and type(a) is int
-    assert params_from_json(str(path)) == ModelParams(3.0, 5.0, 1.0, 2.0, 2)
+    assert _cli_params("--config", str(path)) == ModelParams(3.0, 5.0, 1.0,
+                                                             2.0, 2)
 
 
-def test_params_from_json(tmp_path):
+def test_cli_params_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"lambda1": 3, "lambda2": 5, "mu1": 1,
                                 "mu2": 1, "c1": 1, "c2": 2}))
-    p = params_from_json(str(path))
-    assert p == ModelParams(3.0, 5.0, 1.0, 2.0, 0)
+    assert _cli_params("--config", str(path)) == ModelParams(3.0, 5.0, 1.0,
+                                                             2.0, 0)

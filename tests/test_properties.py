@@ -1,5 +1,6 @@
 """Property tests over random stable parameter sets."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from qwblock.boundary import boundary_cache
 from qwblock.errors import QwblockError
 from qwblock.model import ModelParams
-from qwblock.solver import blocking, coefficients, eval_P1, solve_boundary, sweep
+from qwblock.solver import assemble, blocking, eval_P1, solve_boundary, sweep
 
 RATE = st.floats(0.5, 10.0)
 
@@ -33,7 +34,7 @@ def _solved(fn, *args, **kwargs):
 @given(stable_params())
 def test_p1_one_row_and_sweep_agree_with_eval_P1(params):
     cache = _solved(boundary_cache, params)
-    cm = _solved(coefficients, params, cache)
+    cm = _solved(assemble, params, cache)
     bvec = _solved(solve_boundary, params, cache=cache, cm=cm)
     want = eval_P1(params, cache, bvec, 1.0)
     assert abs(cm.p1_one @ bvec.p - want) <= 1e-13 * abs(want)
@@ -46,3 +47,17 @@ def test_p1_one_row_and_sweep_agree_with_eval_P1(params):
         rel = max(1e-14, 1e-15 * single.diagnostics["condition_estimate"])
         assert rep.blocking.b2 == pytest.approx(single.blocking.b2, rel=rel,
                                                 abs=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(stable_params())
+def test_sweep_is_monotone_in_the_threshold_and_conserves_rate(params):
+    # reserving more trunks for DC 1 blocks more of DC 1's requests and
+    # fewer of DC 2's: B1 rises and B2 falls with a, and every report
+    # keeps lambda1 B1 + lambda2 B2 = drift
+    reports = _solved(sweep, params, range(41))
+    b1, b2 = np.array([tuple(r.blocking) for r in reports]).T
+    assert np.all(np.diff(b1) >= -1e-14)
+    assert np.all(np.diff(b2) <= 1e-14)
+    assert np.all(np.abs(params.lambda1 * b1 + params.lambda2 * b2
+                         - params.drift) <= 1e-8)

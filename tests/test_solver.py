@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from qwblock import solver
-from qwblock.boundary import BoundaryCache, boundary_cache
-from qwblock.errors import (NonPositiveRate, OutOfRange, QwblockError,
+from qwblock.boundary import (BoundaryCache, boundary_cache, phi1_exponent,
+                              theta1)
+from qwblock.errors import (KernelZeroOnCut, NegativeProbability,
+                            NonPositiveRate, OutOfRange, QwblockError,
                             SingularSystem)
 from qwblock.kernel import x_of_theta
 from qwblock.model import ModelParams
-from qwblock.quadrature import QuadConfig
+from qwblock.quadrature import QuadConfig, cosine_grid
 from qwblock.oracle import blocking_from_distribution, solve_limiting_walk
 from qwblock.solver import (BoundaryVector, assemble, baseline_a0, blocking,
-                            blocking_with_estimate, coefficients, eval_P1,
+                            blocking_with_estimate, eval_P1,
                             eval_P2, solve_boundary, sweep)
 
 from conftest import BASE, CASES, OVERLOAD2, UNDERLOAD2
@@ -36,13 +38,16 @@ def drift(p):
 
 
 def test_boundary_vector_p00():
-    v = BoundaryVector(p=np.array([1.0, 2.0, 3.0]), seed_scale=1.0)
+    v = BoundaryVector(p=np.array([1.0, 2.0, 3.0]))
     assert v.p00 == 1.0 and type(v.p00) is float
 
 
-def test_assemble_requires_threshold(cache):
-    with pytest.raises(ValueError):
-        assemble(BASE.with_a(0), cache)
+def test_assemble_at_threshold_zero_has_only_p1_one(cache):
+    cm = assemble(BASE.with_a(0), cache)
+    assert cm.alpha.shape == (0, 1) and cm.beta.shape == (0,)
+    np.testing.assert_allclose(cm.p1_one,
+                               assemble(BASE.with_a(5), cache).p1_one[:1],
+                               rtol=1e-15, atol=0)
 
 
 def test_boundary_coefficients_positive_and_conserving(bvec2):
@@ -139,7 +144,7 @@ def test_interpolated_phi1_solves_like_the_direct_tabulation(params):
     # phi1 on the theta grid comes from a Chebyshev interpolant of log phi1;
     # the same systems solved on the direct kernel sums give the same B
     def b1_b2(cache):
-        cm = coefficients(params, cache)
+        cm = assemble(params, cache)
         bvec = solve_boundary(params, cache=cache, cm=cm)
         return np.array([bvec.p.sum(), cm.p1_one @ bvec.p])
 
@@ -166,7 +171,7 @@ def test_condition_number_is_reported(cache, bvec2):
     # delta whose signs follow M^-T c and u moves B by cond * delta
     # relative, to first order (Higham, Accuracy and Stability of
     # Numerical Algorithms, sec. 7.2)
-    a, cm = 2, coefficients(BASE.with_a(2), cache)
+    a, cm = 2, assemble(BASE.with_a(2), cache)
     mat = np.diag(cache.bp.r2 ** np.arange(a)) - cm.alpha[:, 1:]
     rhs = cm.beta + cm.alpha[:, 0]
     u = np.linalg.solve(mat, rhs)
@@ -257,9 +262,12 @@ def _dense_coefficients(p, cache, n_t):
     x_t = np.asarray(x_of_theta(p, theta))
     phi1_t = cache.phi1_many(x_t)
     denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
-    y = cache.y_nodes
-    base = (cache.y_weights * (p.lambda2 - p.mu2c2 * y * y)
-            * cache.sin_theta1 * cache.exp_neg_phi1)
+    bp = cache.bp
+    y, w = cosine_grid(bp.y1, bp.y2, cache.y_nodes.size)
+    th1 = theta1(p, y)
+    phi_big = phi1_exponent(p, bp, y, w, (p.lambda2 - p.mu2c2 * y * y)
+                            * th1 / y)
+    base = w * (p.lambda2 - p.mu2c2 * y * y) * np.sin(th1) * np.exp(-phi_big)
     denom_j = (p.mu2c2 * y[:, None] ** 2 + p.lambda2 - 2.0 * y[:, None]
                * math.sqrt(p.mu2c2 * p.lambda2) * np.cos(theta)[None, :])
     ks = np.arange(a + 1)
@@ -363,7 +371,7 @@ def test_sweep_assembles_once(monkeypatch):
     blocking(UNDERLOAD2.with_a(5), CFG)
     assert calls == [12, 5]
     sweep(UNDERLOAD2, [0], CFG)
-    assert calls == [12, 5]
+    assert calls == [12, 5, 0]
 
 
 def spoil(field, index, value):
@@ -439,11 +447,43 @@ def test_sweep_takes_P1_of_one_from_one_row(monkeypatch):
 def test_p1_one_row_equals_eval_P1_at_one(name, a):
     params = CASES[name].with_a(a)
     cache = boundary_cache(params)
-    cm = coefficients(params, cache)
+    cm = assemble(params, cache)
     assert cm.p1_one.shape == (a + 1,)
     bvec = solve_boundary(params, cache=cache, cm=cm)
     want = eval_P1(params, cache, bvec, 1.0)
     assert abs(cm.p1_one @ bvec.p - want) <= 1e-14 * abs(want)
+
+
+def test_p1_one_row_refuses_a_kernel_zero_before_phi1(monkeypatch, cache):
+    # K(1, y) = (y - 1)(mu2c2 y - lambda2) vanishes at a node moved to y = 1
+    calls = []
+    monkeypatch.setattr(BoundaryCache, "phi1_many",
+                        lambda self, xs: calls.append(xs))
+    nodes = cache.y_nodes.copy()
+    nodes[-1] = 1.0
+    bad = dataclasses.replace(cache, y_nodes=nodes)
+    with pytest.raises(KernelZeroOnCut, match=r"K\(1\.0, y\)"):
+        assemble(BASE.with_a(3), bad)
+    assert calls == []
+
+
+@pytest.mark.parametrize("params", [
+    # x2 = 0.9999996 puts the theta sums at the near-pole of 1/(1 - x);
+    # NegativeProbability at grids 512 to 2,048, B2 = 0.149989 at 4,096
+    pytest.param(ModelParams(74.013, 0.0054066, 0.017491, 0.0045963, a=249),
+                 marks=pytest.mark.xfail(strict=True,
+                                         raises=NegativeProbability)),
+    # r2 = 3.2e-3: r2^n and y^(n-1) underflow to 0 past n = 129, which
+    # leaves columns 130.. of the boundary system all zero
+    pytest.param(ModelParams(681.47, 0.0045110, 1.3621, 445.60, a=184),
+                 marks=pytest.mark.xfail(strict=True, raises=SingularSystem)),
+], ids=str)
+def test_default_grid_refusals_that_the_oracle_answers(params):
+    rep = blocking(params)
+    dist = solve_limiting_walk(params)
+    want = blocking_from_distribution(dist, params)
+    np.testing.assert_allclose(tuple(rep.blocking), tuple(want), rtol=0,
+                               atol=1e-8)
 
 
 def test_critical_second_queue_solves():
