@@ -120,14 +120,10 @@ def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
             * (cut_hilbert(g) - mu2 * nodes * regular))
 
 
-def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
-                weights: np.ndarray, xs) -> np.ndarray:
-    """Sum over the cut nodes y of weights / K(x, y) at each x of xs: one
-    sum per x for 1-D weights, a column of sums per x for 2-D ones.  Runs
-    in row blocks of the (x, y) kernel matrix and raises KernelZeroOnCut
-    before it divides if K(x, .) nearly vanishes on a node."""
-    xs = np.asarray(xs, dtype=float)
-    total = np.empty(weights.shape[:-1] + xs.shape)
+def kernel_blocks(params: ModelParams, y_nodes: np.ndarray, xs: np.ndarray):
+    """Yield (rows, K(x, y)) per row block of the (x, y) kernel matrix,
+    xs against the cut nodes, raising KernelZeroOnCut before a block in
+    which K(x, .) nearly vanishes on a node."""
     for rows in blocks(xs.size, y_nodes.size):
         x = xs[rows]
         kern = kernel_value(params, x[:, None], y_nodes[None, :])
@@ -136,6 +132,17 @@ def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
         if bad.any():
             raise KernelZeroOnCut(
                 f"K({x[bad][0]}, y) vanishes on the cut [y1, y2]")
+        yield rows, kern
+
+
+def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
+                weights: np.ndarray, xs) -> np.ndarray:
+    """Sum over the cut nodes y of weights / K(x, y) at each x of xs: one
+    sum per x for 1-D weights, a column of sums per x for 2-D ones.  Runs
+    on kernel_blocks, and so raises KernelZeroOnCut before it divides."""
+    xs = np.asarray(xs, dtype=float)
+    total = np.empty(weights.shape[:-1] + xs.shape)
+    for rows, kern in kernel_blocks(params, y_nodes, xs):
         # a row sum per x keeps phi1 at x independent of the block x is in
         total[..., rows] = (np.sum(weights / kern, axis=1) if weights.ndim == 1
                             else weights @ (1.0 / kern).T)

@@ -4,9 +4,10 @@ Two chains are solved exactly (up to truncation): the limiting
 quarter-plane walk restricted to a finite box with outward transitions
 suppressed, and the original finite-capacity two-DC chain before the
 many-servers rescaling.  Each is one list of moves on a box
-(_box_moves), from which _balance gives pi Q.  The pre-limit chain, and
-a walk whose box the level solve does not fit, take one sparse LU of Q^T
-with the pinned state's balance equation replaced in place; the walk
+(_box_moves), from which _balance gives pi Q.  The pre-limit chain, on a
+window of each DC's occupancy, and a walk whose box the level solve does
+not fit, take one sparse LU of Q^T with the balance equation of the
+pinned state, near the mode, replaced in place; the walk
 otherwise is solved level by level in the eigenbasis of its n2
 generator, an M/M/1/N generator with a closed-form spectrum, and one
 dense LU factored in place.  Both paths report the residual max |pi Q|
@@ -33,8 +34,8 @@ from .quadrature import blocks
 
 BOX_SAFETY = 20.0    # default_box gives each side ~BOX_SAFETY/(1-rho) states
 MAX_STATES = 4_000_000    # largest chain either oracle solves
-# pre-limit window: a DC-1 state is left out when its Erlang mass is below
-WINDOW_LOG = 37.0    # e^-37 = 8.5e-17 of the mode's, under double rounding
+# pre-limit window: an occupancy of DC i is left out when DC i's Erlang mass
+WINDOW_LOG = 37.0    # is below e^-37 = 8.5e-17 of the mode's, under rounding
 # The level solve keeps two dense (N2+1)-square arrays, the eigenbasis and
 # the level-0 LU, 144 MB at this cap on N2 + 1; default_box gives
 # N2 + 1 <= 2,701 for a <= 200.
@@ -72,6 +73,13 @@ def _box_sides(box) -> tuple:
     return sides
 
 
+def _refuse_past_cap(side1: int, side2: int) -> None:
+    """StateSpaceTooLarge if {0..side1} x {0..side2} exceeds MAX_STATES."""
+    if (side1 + 1) * (side2 + 1) > MAX_STATES:
+        raise StateSpaceTooLarge(f"{(side1 + 1) * (side2 + 1)} states "
+                                 f"exceeds {MAX_STATES:.0e}")
+
+
 def _box_moves(side1: int, side2: int, moves) -> list:
     """``moves`` evaluated on the box {0..side1} x {0..side2}.
 
@@ -84,9 +92,7 @@ def _box_moves(side1: int, side2: int, moves) -> list:
     side1, side2 = _box_sides((side1, side2))
     if min(side1, side2) < 1:
         raise BoxTooSmall(f"box sides ({side1}, {side2}) must be at least 1")
-    if (side1 + 1) * (side2 + 1) > MAX_STATES:
-        raise StateSpaceTooLarge(f"{(side1 + 1) * (side2 + 1)} states "
-                                 f"exceeds {MAX_STATES:.0e}")
+    _refuse_past_cap(side1, side2)
     n1, n2 = np.meshgrid(np.arange(side1 + 1), np.arange(side2 + 1),
                          indexing="ij")
     out = []
@@ -365,7 +371,13 @@ def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
     capacities and nu must be positive and finite, and so must the loads
     nu*lambda/mu, which the window and the pin round to ints; a is a
     non-negative int.
-    Overflow never reaches DC 1, so m1 keeps to [_window_bottom, C1].
+
+    Each occupancy m_i keeps to a window [_window_bottom, C_i], reflected
+    at its bottom.  m1 is DC 1's Erlang loss system, which overflow never
+    reaches; m2 is stochastically larger than DC 2's, since overflow only
+    adds to its up-rate.  So no state left out holds more than e^-WINDOW_LOG
+    of that Erlang system's mode.  A balance residual above 1e-9 of the
+    largest rate raises SingularSystem.
     """
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2),
                         ("mu1", mu1), ("mu2", mu2), ("c1", c1), ("c2", c2),
@@ -383,20 +395,31 @@ def solve_prelimit(lambda1: float, lambda2: float, mu1: float, mu2: float,
     if abs(cap1 - round(cap1)) > 1e-9 or abs(cap2 - round(cap2)) > 1e-9:
         warnings.warn(f"nu*c = ({cap1}, {cap2}) rounded to integers")
     cap1, cap2 = round(cap1), round(cap2)
-    lo = _window_bottom(big1 / mu1, cap1)
+    load1, load2 = big1 / mu1, big2 / mu2
+    lo1, lo2 = _window_bottom(load1, cap1), _window_bottom(load2, cap2)
+    _refuse_past_cap(cap1 - lo1, cap2 - lo2)    # before the pin's array
 
-    def moves(n1, m2):
-        m1 = n1 + lo
+    def moves(n1, n2):
+        m1, m2 = n1 + lo1, n2 + lo2
         up = big2 * (m2 < cap2) + big1 * ((m1 == cap1) & (m2 < cap2 - a))
         return [(m1 < cap1, +1, 0, big1),
                 (m2 < cap2, 0, +1, up),
-                (m1 > lo, -1, 0, mu1 * m1.astype(float)),
-                (m2 > 0, 0, -1, mu2 * m2.astype(float))]
+                (m1 > lo1, -1, 0, mu1 * m1.astype(float)),
+                (m2 > lo2, 0, -1, mu2 * m2.astype(float))]
 
-    # pin near the mode of the independent Erlang product to avoid
-    # overflow in the solved probability ratios
-    probs, _ = _box_chain(cap1 - lo, cap2, moves, pin=(
-        min(cap1, int(big1 / mu1)) - lo, min(cap2, int(big2 / mu2))))
-    b1 = float(probs[cap1 - lo, max(cap2 - a, 0):].sum())
-    b2 = float(probs[:, cap2].sum())
+    # pin at the mode, so the solved ratios stay in range: m1 at its Erlang
+    # mode, m2 at that of the birth-death chain whose up-rate below C2 - a
+    # adds big1 * P(m1 = C1), from log p(m)/p(C1) on the window
+    drops = np.cumsum(np.log(np.arange(cap1, lo1, -1) / load1))
+    top = drops.max(initial=0.0)
+    full1 = math.exp(-top) / (math.exp(-top) + np.exp(drops - top).sum())
+    climb = min(load2, cap2) + min(big1 / mu2 * full1, cap2)
+    pin2 = max(min(cap2 - a, int(climb)), min(cap2, int(load2)))
+    probs, residual = _box_chain(cap1 - lo1, cap2 - lo2, moves, pin=(
+        min(cap1, int(load1)) - lo1, pin2 - lo2))
+    if not residual <= 1e-9 * max(big1, big2, mu1 * cap1, mu2 * cap2):
+        raise SingularSystem(f"balance residual {residual:.3e} of the "
+                             f"pre-limit chain")
+    b1 = float(probs[cap1 - lo1, max(cap2 - a - lo2, 0):].sum())
+    b2 = float(probs[:, cap2 - lo2].sum())
     return BlockingPair(b1, b2)

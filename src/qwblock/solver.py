@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryCache, boundary_cache, kernel_sums, phi2
+from .boundary import (BoundaryCache, boundary_cache, kernel_blocks,
+                       kernel_sums, phi2)
 from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
                      refuse_float_errors)
 from .kernel import kernel_value, x_roots
@@ -138,14 +139,19 @@ def _p1_one(p: ModelParams, cache: BoundaryCache,
 def eval_P1(params: ModelParams, cache: BoundaryCache,
             bvec: BoundaryVector | np.ndarray, x):
     """Generating function P1(x) of the n2 = 0 boundary, |x| < r1: a float
-    at a scalar x, else an array, tabulated in row blocks."""
+    at a scalar x, else an array, tabulated in row blocks of the kernel
+    matrix, each serving both phi1's sum and the cut integral's."""
     p = params
     coeffs = bvec.p if isinstance(bvec, BoundaryVector) else np.asarray(bvec)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    phi1_x = cache.phi1_many(xs)
     y = cache.y_nodes
-    integral = kernel_sums(
-        p, y, cache.cut_base * np.polyval(coeffs[::-1], y) / y, xs)
+    weight = cache.cut_base * np.polyval(coeffs[::-1], y) / y
+    log_sum, integral = np.empty(xs.size), np.empty(xs.size)
+    # the same row sums as phi1_many and kernel_sums, bit for bit
+    for rows, kern in kernel_blocks(p, y, xs):
+        log_sum[rows] = np.sum(cache.phi1_weights / kern, axis=1)
+        integral[rows] = np.sum(weight / kern, axis=1)
+    phi1_x = np.exp(xs / math.pi * log_sum)
     out = (phi1_x * float(coeffs[0])
            + xs * p.lambda1 * phi1_x / (p.lambda2 * math.pi) * integral)
     return out if np.ndim(x) else float(out[0])

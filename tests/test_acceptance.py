@@ -185,13 +185,22 @@ def test_criterion_10_prelimit_convergence(golden):
     # on base the error is c/nu + d/nu^2 + ..., so two Richardson steps
     # over nu = 50, 100, 200 land on the analytic limit at grid 2048
     # (measured 6.1e-7 at a = 2, 6.4e-7 at a = 10)
-    richardson = 0.0
-    reports = sweep(BASE, (2, 10), QuadConfig(grid_size=2048))
-    for a, rep in zip((2, 10), reports):
+    # Far out, the windowed chain stays 34 x 41 states: the first-order
+    # coefficient nu (B_nu - B) must agree across nu = 1e4, 1e5 and 1e6
+    # within 0.1% of each entry (measured 1.5e-4; it is (0.1614, 0.0873)
+    # at a = 0)
+    richardson = spread = 0.0
+    reports = sweep(BASE, (0, 2, 10), QuadConfig(grid_size=2048))
+    for a, rep in zip((0, 2, 10), reports):
         limit = np.array(tuple(rep.blocking))
         b = _prelimit((3.0, 5.0, 1.0, 1.0, 1.0, 2.0), a, (50, 100, 200))
         step2 = (8.0 * b[200] - 6.0 * b[100] + b[50]) / 3.0
-        richardson = max(richardson, float(np.max(np.abs(step2 - limit))))
+        if a:
+            richardson = max(richardson, float(np.max(np.abs(step2 - limit))))
+        far = _prelimit((3.0, 5.0, 1.0, 1.0, 1.0, 2.0), a, (1e4, 1e5, 1e6))
+        coef = {nu: nu * (b_nu - limit) for nu, b_nu in far.items()}
+        spread = max(spread, max(float(np.max(np.abs(c / coef[1e6] - 1.0)))
+                                 for c in coef.values()))
     # With a near-critical second queue, sqrt(nu)|lambda2 - mu2c2| is only
     # about 1.4 at nu = 200: the chain is still in the Halfin-Whitt
     # crossover (Halfin & Whitt, Oper. Res. 29, 1981), its error falls
@@ -208,11 +217,12 @@ def test_criterion_10_prelimit_convergence(golden):
         b = _prelimit(rates, a, (50, 100, 200))
         err = [float(np.max(np.abs(b[nu] - limit))) for nu in (50, 100, 200)]
         ratios[name] = (err[1] / err[0], err[2] / err[1])
-    ok = (richardson <= 1e-5
+    ok = (richardson <= 1e-5 and spread <= 1e-3
           and all(0.67 <= r <= 0.71 for r in ratios["underload2"])
           and all(r < 1.0 for r in ratios["overload2"]))
     _check(10, "finite-capacity chain converges to the limiting walk", ok,
-           f"Richardson error {richardson:.1e}, error ratio per doubling "
+           f"Richardson error {richardson:.1e}, nu (B_nu - B) spread "
+           f"{spread:.1e} on nu = 1e4..1e6, error ratio per doubling "
            + ", ".join(f"{k} {r[0]:.3f} {r[1]:.3f}" for k, r in ratios.items()))
 
 

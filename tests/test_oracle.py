@@ -1,9 +1,12 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwblock.errors import (BoxTooSmall, NonPositiveRate, OutOfRange,
                             QwblockError, SingularSystem, StateSpaceTooLarge)
@@ -233,9 +236,27 @@ def test_oracle_blocking_wrapper(golden):
                                rtol=1e-12)
 
 
-def full_prelimit(lambda1, lambda2, mu1, mu2, c1, c2, a, nu):
-    """The pre-limit chain on all of {0..C1} x {0..C2}, with no DC-1
-    window: the reference the windowed solve must reproduce."""
+def windowed_prelimit(rates, a, nu):
+    """solve_prelimit's pair, its probabilities on the window, and the
+    window's bottom (lo1, lo2)."""
+    seen = []
+
+    def spy(side1, side2, moves, pin):
+        probs, residual = _box_chain(side1, side2, moves, pin)
+        seen.append(probs)
+        return probs, residual
+
+    with mock.patch.object(oracle, "_box_chain", spy):
+        pair = solve_prelimit(*rates, a=a, nu=nu)
+    lam1, lam2, mu1, mu2, c1, c2 = rates
+    return pair, seen[0], (_window_bottom(nu * lam1 / mu1, round(nu * c1)),
+                           _window_bottom(nu * lam2 / mu2, round(nu * c2)))
+
+
+def full_prelimit(lambda1, lambda2, mu1, mu2, c1, c2, a, nu, pin):
+    """The pre-limit chain on all of {0..C1} x {0..C2}, with no window,
+    pinned at ``pin`` and held to a balance residual of 1e-12 of its rate
+    sum: the reference the windowed solve must reproduce."""
     cap1, cap2 = round(nu * c1), round(nu * c2)
     big1, big2 = nu * lambda1, nu * lambda2
 
@@ -246,26 +267,41 @@ def full_prelimit(lambda1, lambda2, mu1, mu2, c1, c2, a, nu):
                 (m1 > 0, -1, 0, mu1 * m1.astype(float)),
                 (m2 > 0, 0, -1, mu2 * m2.astype(float))]
 
-    probs, _ = _box_chain(cap1, cap2, moves, pin=(min(cap1, int(big1 / mu1)),
-                                                  min(cap2, int(big2 / mu2))))
+    probs, residual = _box_chain(cap1, cap2, moves, pin=pin)
+    assert residual <= 1e-12 * (big1 + big2 + mu1 * cap1 + mu2 * cap2)
     return BlockingPair(float(probs[cap1, max(cap2 - a, 0):].sum()),
                         float(probs[:, cap2].sum()))
+
+
+def window_and_full_chain(rates, a, nu):
+    """The windowed pair, the full chain's pinned at the window's largest
+    probability (not at solve_prelimit's pin), and windowed_prelimit's
+    probabilities and window bottom."""
+    pair, probs, lows = windowed_prelimit(rates, a, nu)
+    top = np.unravel_index(np.argmax(probs), probs.shape)
+    full = full_prelimit(*rates, a=a, nu=nu,
+                         pin=(int(top[0]) + lows[0], int(top[1]) + lows[1]))
+    return pair, full, probs, lows
 
 
 PRELIMIT_RATES = {
     "base": (3.0, 5.0, 1.0, 1.0, 1.0, 2.0),
     "underload2": (1.2, 9.9, 1.0, 10.0, 1.0, 1.0),
     "overload2": (1.2, 11.0, 1.0, 10.0, 1.0, 1.0),
+    # DC-1 overflow lifts DC 2 far above its own Erlang mode
+    "heavy_overflow": (8.0, 2.0, 1.0, 4.0, 1.0, 1.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PRELIMIT_RATES))
 def test_prelimit_window_equals_full_chain(name):
-    rates = PRELIMIT_RATES[name]
-    for nu in (25, 50, 100):
+    # DC 2's window starts above 0 from nu = 50 on, at lo2 = 27 on
+    # heavy_overflow at nu = 200
+    for nu in (100, 200) if name == "heavy_overflow" else (25, 50, 100):
         for a in (2, 5, 10):
-            window = solve_prelimit(*rates, a=a, nu=nu)
-            full = full_prelimit(*rates, a=a, nu=nu)
+            window, full, _, (_, lo2) = window_and_full_chain(
+                PRELIMIT_RATES[name], a, nu)
+            assert lo2 > 0 or nu < 50
             np.testing.assert_allclose(tuple(window), tuple(full),
                                        rtol=0, atol=1e-14)
 
@@ -278,18 +314,66 @@ def test_prelimit_window_equals_full_chain_below_a_full_dc1():
         load, cap1 = nu * rates[0] / rates[2], round(nu * rates[4])
         assert 0 < _window_bottom(load, cap1) < int(load) < cap1
         for a in (2, 10):
-            window = solve_prelimit(*rates, a=a, nu=nu)
-            full = full_prelimit(*rates, a=a, nu=nu)
+            window, full, *_ = window_and_full_chain(rates, a, nu)
             np.testing.assert_allclose(tuple(window), tuple(full),
                                        rtol=0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+                 st.floats(0.2, 5.0), st.floats(0.2, 5.0),
+                 st.integers(1, 3), st.integers(1, 3)),
+       st.integers(0, 130), st.integers(2, 40))
+def test_prelimit_window_equals_full_chain_on_random_chains(rates, a, nu):
+    window, full, *_ = window_and_full_chain(rates, a, nu)
+    np.testing.assert_allclose(tuple(window), tuple(full),
+                               rtol=0, atol=1e-14)
 
 
 def test_prelimit_window_from_zero_is_the_full_chain():
     rates = PRELIMIT_RATES["base"]
     assert _window_bottom(10 * rates[0] / rates[2], 10) == 0
+    assert _window_bottom(10 * rates[1] / rates[3], 20) == 0
     for a in (0, 2, 5):
-        assert (solve_prelimit(*rates, a=a, nu=10)
-                == full_prelimit(*rates, a=a, nu=10))
+        window, full, *_ = window_and_full_chain(rates, a, 10)
+        assert window == full
+
+
+# DC-1 overflow lifts DC 2 far above its own Erlang mode; pinned at the mode
+# of the independent Erlang product, these returned (0, 0) with balance
+# residuals of 51 and 24
+FOUND_LIFTED = [((3.514, 0.391, 0.735, 1.945, 1.0, 1.0), 37, 100),
+                ((8.0, 2.0, 1.0, 4.0, 1.0, 1.0), 0, 200)]
+
+
+@pytest.mark.parametrize("rates, a, nu", FOUND_LIFTED)
+def test_prelimit_answers_a_dc2_lifted_by_overflow(rates, a, nu):
+    lam1, lam2, mu1, mu2, c1, c2 = rates
+    pair, full, probs, (_, lo2) = window_and_full_chain(rates, a, nu)
+    np.testing.assert_allclose(tuple(pair), tuple(full), rtol=1e-9, atol=0)
+    # exact identities: m1 is an Erlang loss system, and DC 2's flow
+    # balances, mu2 E[m2] = nu lambda2 (1 - B2) + nu lambda1 (P(m1 = C1) - B1)
+    full1 = probs[-1].sum()
+    np.testing.assert_allclose(full1, erlang_b(nu * lam1 / mu1, round(nu * c1)),
+                               rtol=1e-12)
+    mean2 = probs.sum(axis=0) @ (lo2 + np.arange(probs.shape[1]))
+    np.testing.assert_allclose(
+        mu2 * mean2, nu * lam2 * (1.0 - pair.b2) + nu * lam1 * (full1 - pair.b1),
+        rtol=1e-12)
+
+
+def test_prelimit_refuses_a_balance_residual_past_its_gate(monkeypatch):
+    # pinned where the parent pinned it, at DC 2's own Erlang mode, the
+    # first lifted chain solves to a residual of 51
+    rates, a, nu = FOUND_LIFTED[0]
+    erlang_mode2 = int(nu * rates[1] / rates[3])
+
+    def erlang_pin(side1, side2, moves, pin):
+        return _box_chain(side1, side2, moves, pin=(pin[0], erlang_mode2))
+
+    monkeypatch.setattr(oracle, "_box_chain", erlang_pin)
+    with pytest.raises(SingularSystem, match="residual"):
+        solve_prelimit(*rates, a=a, nu=nu)
 
 
 def test_box_chain_refuses_a_move_out_of_the_box():
@@ -334,7 +418,7 @@ def test_prelimit_rounding_warns():
 
 
 def test_prelimit_rejects_huge_state_space():
-    # DC 1 keeps a window of 35 states, DC 2 all 300,001
+    # DC 1 keeps a window of 34 states, the underloaded DC 2 one of 286,042
     with pytest.raises(StateSpaceTooLarge):
         solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 100.0, a=0, nu=3000.0)
 
@@ -357,19 +441,34 @@ def test_prelimit_rejects_invalid_input(bad):
         solve_prelimit(**args)
 
 
-# n2's up rate nu*(lambda1 + lambda2) overflows, or the death rates m * mu
+# n2's up rate nu*(lambda1 + lambda2) overflows at m2 = 1 < C2 - a, or the
+# death rates m * mu do
 @pytest.mark.parametrize("rates", [(1e308, 1e308, 1.0, 1.0),
                                    (0.0043, 0.9, 1e308, 1e308)])
 def test_prelimit_refuses_rates_beyond_double_precision(rates):
     with pytest.raises(OutOfRange):
-        solve_prelimit(*rates, 1.0, 2.0, a=1, nu=1.0)
+        solve_prelimit(*rates, 1.0, 2.0, a=0, nu=1.0)
+
+
+def test_prelimit_window_leaves_out_a_state_whose_rate_overflows():
+    # at a = 1 only m2 = 0 < C2 - a takes the overflowing up rate, and DC 2's
+    # window is {1, 2}: both DCs are full but for e^-700 of the mass
+    assert (solve_prelimit(1e308, 1e308, 1.0, 1.0, 1.0, 2.0, a=1, nu=1.0)
+            == BlockingPair(1.0, 1.0))
+    # DC 1 is full, and its overflow holds DC 2 at C2 - a = 21 and above,
+    # where its own load of 7.9e-5 leaves B2 far below the doubles
+    with warnings.catch_warnings():    # nu*c is not integral
+        warnings.simplefilter("ignore", UserWarning)
+        assert (solve_prelimit(1e308, 0.031935, 0.53014, 156.06, 90.385,
+                               211.76, 61, 0.38723) == BlockingPair(1.0, 0.0))
 
 
 # DC 2's rates of 1e-308 underflow in the sparse LU, which finds it
-# singular; lambda1 = 1e308 against rates near 1 gives a NaN solution
+# singular; DC 1's load of 1e300 on a death rate of 1e-300 gives a NaN
+# solution
 @pytest.mark.parametrize("args", [
     (1.0, 1e-308, 1.0, 1e-308, 1.0, 2.0, 2, 1.0),
-    (1e308, 0.031935, 0.53014, 156.06, 90.385, 211.76, 61, 0.38723)])
+    (1.0, 1e300, 1e-300, 1e300, 2.0, 3.0, 1, 1.0)])
 def test_prelimit_refuses_a_generator_singular_in_double_precision(args):
     with pytest.raises(SingularSystem, match="singular"):
         with warnings.catch_warnings():    # nu*c is not integral
@@ -386,13 +485,14 @@ def test_limiting_walk_rejects_box_side_below_one(box):
 @pytest.mark.parametrize("solve", [
     lambda: solve_limiting_walk(BASE, (2000, 2000)),
     lambda: solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 100.0, a=0, nu=2000.0),
-    lambda: solve_prelimit(3.0, 5.0, 1.0, 1.0, 1.0, 1.0, a=0, nu=1e7),
+    lambda: solve_prelimit(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, a=0, nu=1e9),
 ])
 def test_over_cap_chains_are_refused_before_allocating(solve):
-    # 2001 x 2001 walk states, or a pre-limit window of 35 x 200,001, is
+    # 2001 x 2001 walk states, or a pre-limit window of 34 x 190,849, is
     # above the cap, and building its index grid alone would trace 32 MB
-    # or more; at nu = 1e7 an array over DC 1's 0..C1 would trace 80 MB,
-    # so the window bottom is found without one
+    # or more; at nu = 1e9 an array over DC 1's 0..C1 would trace 8 GB,
+    # and one over its window of 272,018 states (the pin's) 2 MB, so the
+    # window bottom is found without one and the cap checked before the pin
     tracemalloc.start()
     try:
         with pytest.raises(StateSpaceTooLarge):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qwblock import solver
-from qwblock.boundary import (BoundaryCache, boundary_cache, phi1_exponent,
-                              theta1)
+from qwblock.boundary import (BoundaryCache, boundary_cache, kernel_sums,
+                              phi1_exponent, theta1)
 from qwblock.errors import (KernelZeroOnCut, NegativeProbability,
                             NonPositiveRate, OutOfRange, QwblockError,
                             SingularSystem)
@@ -322,6 +322,20 @@ def test_eval_P1_array_equals_per_element(cache, bvec2):
     per_x = [eval_P1(p, cache, bvec2, float(x)) for x in xs]
     assert all(isinstance(v, float) for v in per_x)
     np.testing.assert_array_equal(eval_P1(p, cache, bvec2, xs), per_x)
+
+
+def test_eval_P1_is_phi1_many_and_kernel_sums_bit_for_bit(cache, bvec2):
+    # eval_P1 forms each block of the kernel matrix once for both of its
+    # sums; the two calls it replaces are the reference, over many blocks
+    p = BASE.with_a(2)
+    xs = np.linspace(-1.5, 1.2, 1001)
+    y = cache.y_nodes
+    phi1 = cache.phi1_many(xs)
+    integral = kernel_sums(
+        p, y, cache.cut_base * np.polyval(bvec2.p[::-1], y) / y, xs)
+    want = (phi1 * float(bvec2.p[0])
+            + xs * p.lambda1 * phi1 / (p.lambda2 * math.pi) * integral)
+    np.testing.assert_array_equal(eval_P1(p, cache, bvec2, xs), want)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
