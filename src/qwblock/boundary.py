@@ -137,15 +137,13 @@ def kernel_blocks(params: ModelParams, y_nodes: np.ndarray, xs: np.ndarray):
 
 def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
                 weights: np.ndarray, xs) -> np.ndarray:
-    """Sum over the cut nodes y of weights / K(x, y) at each x of xs: one
-    sum per x for 1-D weights, a column of sums per x for 2-D ones.  Runs
+    """Sum over the cut nodes y of weights / K(x, y) at each x of xs.  Runs
     on kernel_blocks, and so raises KernelZeroOnCut before it divides."""
     xs = np.asarray(xs, dtype=float)
-    total = np.empty(weights.shape[:-1] + xs.shape)
+    total = np.empty(xs.shape)
     for rows, kern in kernel_blocks(params, y_nodes, xs):
         # a row sum per x keeps phi1 at x independent of the block x is in
-        total[..., rows] = (np.sum(weights / kern, axis=1) if weights.ndim == 1
-                            else weights @ (1.0 / kern).T)
+        total[rows] = np.sum(weights / kern, axis=1)
     return total
 
 
@@ -185,9 +183,9 @@ def _phi1_interpolated(params: ModelParams, bp: BranchPoints,
     The Lobatto points x1 + (x2 - x1)(1 + cos(pi j/n))/2 nest, so each
     doubling of n, from PHI1_START_DEGREE, evaluates only the n new ones;
     a DCT-I, the real FFT of the mirrored samples, gives the coefficients.
-    n doubles while the last eighth of them exceeds PHI1_TAIL, and never
-    past xs.size - 1.  The interpolant reads K only at its samples, so a
-    kernel zero anywhere on [x1, x2] is refused first.
+    n doubles while the last eighth of them exceeds PHI1_TAIL; past
+    xs.size - 1, the kernel sums at xs replace it.  It reads K only at its
+    samples, so a kernel zero anywhere on [x1, x2] is refused first.
     """
     _check_kernel_on_cut(params, y_nodes, bp.x1, bp.x2)
     mid, half = 0.5 * (bp.x1 + bp.x2), 0.5 * (bp.x2 - bp.x1)
@@ -202,9 +200,10 @@ def _phi1_interpolated(params: ModelParams, bp: BranchPoints,
         coef = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real
         coef[[0, -1]] *= 0.5
         coef /= n
-        if (2 * n >= xs.size
-                or np.max(np.abs(coef[-(n // 8):])) <= PHI1_TAIL):
+        if np.max(np.abs(coef[-(n // 8):])) <= PHI1_TAIL:
             return np.exp(chebyshev.chebval((xs - mid) / half, coef)), n + 1
+        if 2 * n >= xs.size:
+            return _phi1_values(params, y_nodes, phi1_weights, xs), xs.size
         n *= 2
         merged = np.empty(n + 1)
         merged[::2], merged[1::2] = samples, log_phi1(np.arange(1, n, 2), n)
@@ -218,12 +217,12 @@ class BoundaryCache:
     cut_base is the one weight of every cut integral against the boundary
     polynomial, w (lambda2 - mu2c2 y^2) sin(Theta1) exp(-Phi1) with w the
     grid weights; phi1_weights is w times g of :func:`phi1_exponent`, the
-    integrand numerator of log phi1.  Both are divided by K(x, y) only in
-    :func:`kernel_sums`.  x_theta and phi1_theta hold x(theta) and phi1 on
-    the coefficient assembly's grid theta = pi*j/n, j = 0..n; phi1_theta
-    comes from a Chebyshev interpolant of log phi1 on [x1, x2] through
-    phi1_nodes Lobatto points, 65 on most stable sets, up to n + 1 where
-    log phi1 is hard to resolve.
+    integrand numerator of log phi1.  Both are divided by K(x, y) only on
+    the blocks of :func:`kernel_blocks`.  x_theta and phi1_theta hold
+    x(theta) and phi1 on the coefficient assembly's grid theta = pi*j/n,
+    j = 0..n; phi1_theta comes from a Chebyshev interpolant of log phi1 on
+    [x1, x2] through phi1_nodes Lobatto points, 65 on most stable sets, or
+    from the kernel sums at all n + 1 where that does not converge first.
     """
 
     params: ModelParams

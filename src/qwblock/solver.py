@@ -1,11 +1,11 @@
 """Boundary polynomial determination and blocking probabilities.
 
-The reservation threshold creates a finite polynomial unknown with
-coefficients p(0,0..a).  Seeding p(0,0) = 1, the remaining coefficients
-solve a dense a-by-a linear system whose entries are double integrals
-over a theta grid (outer) and the shared boundary cosine grid (inner).
-Global linearity in the seed then lets the whole vector be rescaled once
-so the rate conservation identity holds exactly.
+The reservation threshold makes the boundary unknown a polynomial with
+coefficients p(0,0..a).  Seeded with p(0,0) = 1, the rest solve a dense
+a-by-a system of double sums over a theta grid and the cut grid: the
+kernel's Poisson series folded mod 2n is exact on theta_j = pi j/n, so
+each is cut moments times FFT sums.  Linearity in the seed lets the
+vector be rescaled once so that rate conservation holds exactly.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .boundary import (BoundaryCache, boundary_cache, kernel_blocks,
-                       kernel_sums, phi2)
+from .boundary import BoundaryCache, boundary_cache, kernel_blocks, phi2
 from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
                      refuse_float_errors)
 from .kernel import kernel_value, x_roots
 from .model import BlockingPair, ModelParams, isolated_limits, validate
-from .quadrature import QuadConfig, blocks, cosine_grid
+from .quadrature import QuadConfig, cosine_grid
 
 CONTOUR_POINTS = 4096    # circle nodes of the P2 contour integral
 
@@ -70,32 +70,37 @@ class BlockingReport:
 
 
 def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
-    """Coefficients of the boundary linear system; at a = 0 there is no
-    system, only p1_one.
+    """The boundary system's coefficients; at a = 0 only p1_one.
 
-    The inner cut integrals J_k are tabulated once per theta node and
-    reused for every (n, k) pair; the outer theta integrals use the
-    trapezoid rule, spectrally accurate here because the integrands
-    extend to smooth even periodic functions of theta.
+    cos(m theta_j) on the trapezoid grid theta_j = pi j/n is even in m with
+    period 2n, so the Poisson series of 1/D(y, theta_j), z = y/r2 < 1,
+    folds exactly to sum_{r=0..n} c_r (z^r + z^(2n-r)) cos(r theta_j) /
+    (lambda2 (1 - z^2)(1 - z^(2n))), c_0 = c_n = 1, else 2: each entry is
+    cut moments nu_i of cut_base z^i over that denominator against one
+    FFT's sines and cosines.  Modes below e^-37 of mode 0 go, folds too.
     """
-    p = params
-    a = p.a
-    # inner integrals J_k(theta) = sum_y base y^(k-1) / D(y, theta)
-    y = cache.y_nodes
-    y_base = y ** (np.arange(a + 1)[:, None] - 1) * cache.cut_base
-    p1_one = _p1_one(p, cache, y_base)
+    p, a = params, params.a
+    n_t, y, r2 = cache.cfg.grid_size, cache.y_nodes, cache.bp.r2
+    kern1 = next(kernel_blocks(p, y, np.ones(1)))[1][0]   # guarded K(1, y)
+    z, log_z = y / r2, np.log(y / r2)
+    modes = min(n_t, math.ceil(-37.0 / log_z.max()))
+    # nu[i + 1] = nu_i and the moments of cut_base/K(1, y) for P1(1), by
+    # one matmul over y on z^(64q + j) = z^(64q) z^j, each power rounded once
+    count = a + 1 + (2 * n_t if modes == n_t else modes)
+    high = z ** (64.0 * np.arange(-(-count // 64))[:, None])
+    weights = cache.cut_base / z / np.stack([p.lambda2 * (1.0 - z) * (
+        1.0 + z) * -np.expm1(2 * n_t * log_z), kern1])
+    nu, m1 = ((weights[:, None, :] * high)
+              @ (z ** np.arange(64.0)[:, None]).T).reshape(2, -1)
+    r2_pow = r2 ** (np.arange(a + 1) - 1.0)
+    p1_one = cache.phi1(1.0) * (np.eye(1, a + 1)[0] + p.lambda1 / (
+        p.lambda2 * math.pi) * r2_pow * m1[:a + 1])
     if a == 0:
         return CoefficientMatrix(np.zeros((0, 1)), np.zeros(0), p1_one)
-    n_t = cache.cfg.grid_size
     theta = np.linspace(0.0, math.pi, n_t + 1)
-    w_t = np.full(n_t + 1, math.pi / n_t)
-    w_t[[0, -1]] *= 0.5
-
+    w_t = math.pi / n_t * np.concatenate([[0.5], np.ones(n_t - 1), [0.5]])
     x_t, phi1_t = cache.x_theta, cache.phi1_theta
     denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
-    cos_t = np.cos(theta)
-    r2 = cache.bp.r2
-
     # theta weights of alpha1 and beta, and of alpha2 relative to their
     # common 2*mu2c2/pi^2; sin((k-1)t) = 2cos(t)sin(kt) - sin((k+1)t)
     # leaves alpha2 two sines, u*sin(k theta) + v*sin((k+1) theta)
@@ -104,36 +109,32 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     # keeps 1/(1 - x2) away when queue 2 is critical (x2 = 1)
     outer2 = np.divide(math.pi * w_t * x_t, (1.0 - x_t) * denom_t,
                        out=np.zeros(n_t + 1), where=theta > 0.0)
-    u_t = outer2 * (r2 * r2 + x_t - 2.0 * r2 * cos_t)
+    u_t = outer2 * (r2 * r2 + x_t - 2.0 * r2 * np.cos(theta))
     v_t = outer2 * r2 * (1.0 - x_t)
-    r2_pow = (r2 ** (np.arange(a + 1) - 1.0))[:, None]
-
-    quad_y = (p.mu2c2 * y * y + p.lambda2)[:, None]
-    cross_y = (2.0 * math.sqrt(p.mu2c2 * p.lambda2) * y)[:, None]
-    # sin(k theta_j) = sin(pi (k j mod 2 n_t) / n_t), from one table
-    sin_table = np.sin(np.arange(2 * n_t) * (math.pi / n_t))
-    ks, nodes = np.arange(a + 2)[:, None], np.arange(n_t + 1)
-
-    alpha, beta = np.zeros((a, a + 1)), np.zeros(a)
-    for cols in blocks(n_t + 1, y.size):
-        sin_k = sin_table[ks * nodes[cols] % (2 * n_t)]      # k = 0..a+1
-        jk = y_base @ (1.0 / (quad_y - cross_y * cos_t[cols]))
-        alpha += sin_k[1:a + 1] @ (outer1[cols] * jk + r2_pow * (
-            u_t[cols] * sin_k[:a + 1] + v_t[cols] * sin_k[1:])).T
-        beta += sin_k[1:a + 1] @ outer1[cols]
-    alpha *= 2.0 * p.mu2c2 / math.pi ** 2
-    beta *= 2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)
+    # s(l) = sum_j outer1_j sin(l theta_j), cu and cv likewise cosines
+    spec = np.fft.fft(np.stack([outer1, u_t, v_t]), 2 * n_t)
+    s, cu, cv = -spec[0].imag, spec[1].real, spec[2].real
+    diff, total = cu + np.roll(cv, 1), cu + np.roll(cv, -1)   # at n -+ k
+    hankel = _wrapped(nu, modes + 1, a + 1, 0, 1)        # nu_(k-1+r)
+    if modes == n_t:                                     # nu_(k-1+2n-r)
+        hankel = hankel + _wrapped(nu, a + 1, modes + 1, 2 * n_t, -1).T
+    half_c = np.where(np.isin(np.arange(modes + 1), (0, n_t)), 0.5, 1.0)
+    # sin(n t) cos(r t) and sin(n t) sin(k t) to single sines and cosines
+    alpha = 2.0 * p.mu2c2 / math.pi ** 2 * r2_pow * (
+        half_c * (_wrapped(s, a, modes + 1, 1, 1)
+                  + _wrapped(s, a, modes + 1, 1, -1)) @ hankel
+        + 0.5 * (_wrapped(diff, a, a + 1, 1, -1)
+                 - _wrapped(total, a, a + 1, 1, 1)))
+    beta = (2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)
+            * _wrapped(s, a, 1, 1, 1)[:, 0])
     return CoefficientMatrix(alpha, beta, p1_one)
 
 
-def _p1_one(p: ModelParams, cache: BoundaryCache,
-            y_base: np.ndarray) -> np.ndarray:
-    """eval_P1 at x = 1 as weights on p(0, 0..a), from y_base[k] =
-    y^(k-1) cut_base."""
-    row = p.lambda1 / (p.lambda2 * math.pi) * kernel_sums(
-        p, cache.y_nodes, y_base, [1.0])[:, 0]
-    row[0] += 1.0
-    return cache.phi1(1.0) * row
+def _wrapped(v: np.ndarray, rows: int, cols: int, lo: int, step: int):
+    """The view M[i, j] = v[(lo + i + step j) mod v.size], step = +-1."""
+    lo = lo if step > 0 else lo - cols + 1
+    ext = v[np.arange(lo, lo + rows + cols - 1) % v.size]
+    return sliding_window_view(ext, cols)[:, ::step]
 
 
 def eval_P1(params: ModelParams, cache: BoundaryCache,

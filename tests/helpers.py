@@ -1,16 +1,19 @@
-"""Closed forms that only the tests use as references.
+"""Closed forms and dense sums that only the tests use as references.
 
-theta2_of_x inverts qwblock.kernel.x_of_theta on the cut [x1, x2], and
+theta2_of_x inverts qwblock.kernel.x_of_theta on the cut [x1, x2],
 chebyshev_u evaluates the Chebyshev polynomials of the second kind that
-the principal-value transform is checked against.
+the principal-value transform is checked against, and dense_coefficients
+forms the boundary system's theta sums node by node.
 """
 
 import math
 
 import numpy as np
 
-from qwblock.kernel import BranchPoints, branch_points
+from qwblock.boundary import phi1_exponent, theta1
+from qwblock.kernel import BranchPoints, branch_points, x_of_theta
 from qwblock.model import ModelParams
+from qwblock.quadrature import cosine_grid
 
 
 def theta2_of_x(params: ModelParams, x, bp: BranchPoints | None = None):
@@ -42,3 +45,37 @@ def chebyshev_u(n: int, t):
     for _ in range(n - 1):
         u_prev, u = u, 2.0 * t * u - u_prev
     return u if u.ndim else float(u)
+
+
+def dense_coefficients(p, cache, n_t):
+    """alpha and beta of assemble as whole (k, theta) matrices: np.sin of
+    every k*theta, y**(k-1), and alpha2 with its three sines.  The
+    theta = 0 node is left out: sin(n * 0) = 0 weights it out of every
+    sum, and there 1/(1 - x) is infinite when x(0) = 1."""
+    a, r2 = p.a, cache.bp.r2
+    theta = np.linspace(0.0, math.pi, n_t + 1)[1:]
+    w_t = np.full(n_t, math.pi / n_t)
+    w_t[-1] *= 0.5
+    x_t = np.asarray(x_of_theta(p, theta))
+    phi1_t = cache.phi1_many(x_t)
+    denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
+    bp = cache.bp
+    y, w = cosine_grid(bp.y1, bp.y2, cache.y_nodes.size)
+    th1 = theta1(p, y)
+    phi_big = phi1_exponent(p, bp, y, w, (p.lambda2 - p.mu2c2 * y * y)
+                            * th1 / y)
+    base = w * (p.lambda2 - p.mu2c2 * y * y) * np.sin(th1) * np.exp(-phi_big)
+    denom_j = (p.mu2c2 * y[:, None] ** 2 + p.lambda2 - 2.0 * y[:, None]
+               * math.sqrt(p.mu2c2 * p.lambda2) * np.cos(theta)[None, :])
+    ks = np.arange(a + 1)
+    jk = (y[None, :] ** (ks[:, None] - 1) * base) @ (1.0 / denom_j)
+    sin_np1 = np.sin(np.outer(ks[1:], theta))
+    outer1 = w_t * x_t * phi1_t / denom_t * np.sin(theta)
+    alpha1 = 2.0 * p.mu2c2 / math.pi ** 2 * sin_np1 @ (outer1 * jk).T
+    jk_small = ((r2 * r2 + x_t) * np.sin(np.outer(ks, theta))
+                - x_t * r2 * np.sin(np.outer(ks + 1, theta))
+                - r2 * np.sin(np.outer(ks - 1, theta))) / ((1.0 - x_t) * denom_t)
+    alpha2 = (2.0 * p.mu2c2 / math.pi * r2 ** (ks - 1.0)
+              * (sin_np1 @ (w_t * x_t * jk_small).T))
+    beta = (2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)) * sin_np1 @ outer1
+    return alpha1 + alpha2, beta

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from qwblock.boundary import boundary_cache
 from qwblock.errors import QwblockError
 from qwblock.model import ModelParams
+from qwblock.quadrature import QuadConfig
 from qwblock.solver import assemble, blocking, eval_P1, solve_boundary, sweep
+
+from helpers import dense_coefficients
 
 RATE = st.floats(0.5, 10.0)
 
@@ -61,3 +64,16 @@ def test_sweep_is_monotone_in_the_threshold_and_conserves_rate(params):
     assert np.all(np.diff(b2) <= 1e-14)
     assert np.all(np.abs(params.lambda1 * b1 + params.lambda2 * b2
                          - params.drift) <= 1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stable_params(), st.sampled_from([64, 128]))
+def test_assemble_matches_dense_sums(params, grid):
+    # a up to 200 at grid 64 and 128 wraps the theta indices mod 2n
+    cache = _solved(boundary_cache, params, QuadConfig(grid))
+    cm = _solved(assemble, params, cache)
+    alpha, beta = dense_coefficients(params, cache, grid)
+    assert np.all(np.abs(cm.alpha - alpha)
+                  <= 1e-12 * np.max(np.abs(alpha), axis=0, initial=0.0))
+    assert np.all(np.abs(cm.beta - beta)
+                  <= 1e-12 * np.max(np.abs(beta), initial=0.0))

@@ -5,20 +5,19 @@ import numpy as np
 import pytest
 
 from qwblock import solver
-from qwblock.boundary import (BoundaryCache, boundary_cache, kernel_sums,
-                              phi1_exponent, theta1)
+from qwblock.boundary import BoundaryCache, boundary_cache, kernel_sums
 from qwblock.errors import (KernelZeroOnCut, NegativeProbability,
                             NonPositiveRate, OutOfRange, QwblockError,
                             SingularSystem)
-from qwblock.kernel import x_of_theta
 from qwblock.model import ModelParams
-from qwblock.quadrature import QuadConfig, cosine_grid
+from qwblock.quadrature import QuadConfig
 from qwblock.oracle import blocking_from_distribution, solve_limiting_walk
 from qwblock.solver import (BoundaryVector, assemble, baseline_a0, blocking,
                             blocking_with_estimate, eval_P1,
                             eval_P2, solve_boundary, sweep)
 
 from conftest import BASE, CASES, OVERLOAD2, UNDERLOAD2
+from helpers import dense_coefficients
 
 CFG = QuadConfig(grid_size=128)
 
@@ -252,44 +251,19 @@ def test_near_critical_set_solves():
     np.testing.assert_allclose(tuple(fine), tuple(inf), rtol=0, atol=1e-7)
 
 
-def _dense_coefficients(p, cache, n_t):
-    """alpha and beta of assemble as whole (k, theta) matrices: np.sin of
-    every k*theta, y**(k-1), and alpha2 with its three sines."""
-    a, r2 = p.a, cache.bp.r2
-    theta = np.linspace(0.0, math.pi, n_t + 1)
-    w_t = np.full(n_t + 1, math.pi / n_t)
-    w_t[[0, -1]] *= 0.5
-    x_t = np.asarray(x_of_theta(p, theta))
-    phi1_t = cache.phi1_many(x_t)
-    denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
-    bp = cache.bp
-    y, w = cosine_grid(bp.y1, bp.y2, cache.y_nodes.size)
-    th1 = theta1(p, y)
-    phi_big = phi1_exponent(p, bp, y, w, (p.lambda2 - p.mu2c2 * y * y)
-                            * th1 / y)
-    base = w * (p.lambda2 - p.mu2c2 * y * y) * np.sin(th1) * np.exp(-phi_big)
-    denom_j = (p.mu2c2 * y[:, None] ** 2 + p.lambda2 - 2.0 * y[:, None]
-               * math.sqrt(p.mu2c2 * p.lambda2) * np.cos(theta)[None, :])
-    ks = np.arange(a + 1)
-    jk = (y[None, :] ** (ks[:, None] - 1) * base) @ (1.0 / denom_j)
-    sin_np1 = np.sin(np.outer(ks[1:], theta))
-    outer1 = w_t * x_t * phi1_t / denom_t * np.sin(theta)
-    alpha1 = 2.0 * p.mu2c2 / math.pi ** 2 * sin_np1 @ (outer1 * jk).T
-    jk_small = ((r2 * r2 + x_t) * np.sin(np.outer(ks, theta))
-                - x_t * r2 * np.sin(np.outer(ks + 1, theta))
-                - r2 * np.sin(np.outer(ks - 1, theta))) / ((1.0 - x_t) * denom_t)
-    alpha2 = (2.0 * p.mu2c2 / math.pi * r2 ** (ks - 1.0)
-              * (sin_np1 @ (w_t * x_t * jk_small).T))
-    beta = (2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)) * sin_np1 @ outer1
-    return alpha1 + alpha2, beta
-
-
-@pytest.mark.parametrize("params", [BASE.with_a(3), UNDERLOAD2.with_a(40),
-                                    OVERLOAD2.with_a(10)])
-def test_assemble_matches_dense_sums(params):
-    cache = boundary_cache(params, CFG)
+@pytest.mark.parametrize("params, grid", [
+    (BASE.with_a(3), 128), (UNDERLOAD2.with_a(40), 128),
+    (OVERLOAD2.with_a(10), 128),
+    # a >= n: the sine and cosine indices wrap mod 2n
+    (OVERLOAD2.with_a(100), 128), (BASE.with_a(200), 128),
+    # y2/r2 = 0.970: every one of the n modes is kept, and folded
+    (UNDERLOAD2.with_a(200), 512),
+    # r2 = 1 and x(0) = 1
+    (ModelParams(1.0, 1.0, 0.5, 1.0, a=5), 128)], ids=str)
+def test_assemble_matches_dense_sums(params, grid):
+    cache = boundary_cache(params, QuadConfig(grid))
     cm = assemble(params, cache)
-    alpha, beta = _dense_coefficients(params, cache, CFG.grid_size)
+    alpha, beta = dense_coefficients(params, cache, grid)
     # columns k scale like r2^(k-1); compare each against its own size
     assert np.all(np.abs(cm.alpha - alpha)
                   <= 1e-12 * np.max(np.abs(alpha), axis=0))
@@ -360,16 +334,19 @@ def test_sweep_matches_per_threshold_blocking(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_slices_one_assembly(name):
-    # equal up to the order in which BLAS sums the products
+    # equal up to the order in which BLAS sums the products: the number of
+    # modes and the cut moments do not depend on the threshold
     params = CASES[name]
     cache = boundary_cache(params)
-    top = assemble(params.with_a(40), cache)
-    for a in range(1, 41):
+    top = assemble(params.with_a(200), cache)
+    for a in (1, 17, 64, 129, 199):
         cm = assemble(params.with_a(a), cache)
         assert np.all(np.abs(top.alpha[:a, :a + 1] - cm.alpha)
                       <= 2e-15 * np.max(np.abs(cm.alpha), axis=0))
         np.testing.assert_allclose(top.beta[:a], cm.beta, rtol=0,
                                    atol=2e-15 * np.max(np.abs(cm.beta)))
+        np.testing.assert_allclose(top.p1_one[:a + 1], cm.p1_one,
+                                   rtol=2e-15, atol=0)
 
 
 def test_sweep_assembles_once(monkeypatch):
