@@ -2,8 +2,11 @@
 
 Theta1 is the half-phase of the boundary coefficient alpha1 on the circle
 of radius r1, Phi1 its Cauchy-integral companion, and phi1 the resulting
-sectionally analytic factor evaluated inside the circle.  Theta2/phi2
-play the same role for the no-reservation (a = 0) baseline.
+sectionally analytic factor evaluated inside the circle: by kernel sums
+at any x, and on the coefficient assembly's theta grid by the Poisson
+moments that the assembly folds too (:func:`cut_moments`,
+:func:`poisson_modes`).  Theta2/phi2 play the same role for the
+no-reservation (a = 0) baseline.
 
 Both Theta functions are computed with the two-argument angle of
 (denominator, sqrt(-Delta)); the printed arctan form folds the branch
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .errors import KernelZeroOnCut, NonVanishingPhase
 from .kernel import (BranchPoints, branch_points, discriminants, kernel_value,
@@ -28,16 +30,6 @@ from .model import ModelParams
 from .quadrature import QuadConfig, blocks, cosine_grid, cut_hilbert
 
 WINDING_POINTS = 2000    # circle nodes of alpha1_winding
-# Chebyshev interpolant of log phi1 on [x1, x2]: Lobatto points start at
-# PHI1_START_DEGREE + 1 and double while a coefficient in the last eighth
-# exceeds PHI1_TAIL, an absolute bound on log phi1, so a relative one on
-# phi1.  At grid 512, on 300 random stable sets (rates U[0.5, 10]), the
-# three reference sets of the tests and the near-critical set (4.2249,
-# 8.6730, 4.2068, 5.2413), that tail exceeded 1e-13 on 29% of the sets at
-# degree 16, 3% at 32 and none at 64 (largest 1.2e-15); phi1 on the theta
-# grid then matched the direct kernel sums to 5e-14 relative.
-PHI1_START_DEGREE = 64
-PHI1_TAIL = 1e-13
 
 
 def theta1(params: ModelParams, y):
@@ -147,67 +139,20 @@ def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
     return total
 
 
-def _phi1_values(params: ModelParams, y_nodes: np.ndarray,
-                 phi1_weights: np.ndarray, xs) -> np.ndarray:
-    """phi1 at each x; KernelZeroOnCut if K(x, .) vanishes on the cut."""
-    xs = np.array(xs, dtype=float)
-    return np.exp(xs / math.pi
-                  * kernel_sums(params, y_nodes, phi1_weights, xs))
+def poisson_modes(z: np.ndarray, n: int) -> int:
+    """The last mode kept of the Poisson series in z = y/r2 folded mod 2n:
+    n, or the first past which z^r < e^-37 at every cut node."""
+    return min(n, math.ceil(-37.0 / np.log(z).max()))
 
 
-def _check_kernel_on_cut(params: ModelParams, y_nodes: np.ndarray,
-                         lo: float, hi: float) -> None:
-    """Raise KernelZeroOnCut if K(x, y) nearly vanishes for some x in
-    [lo, hi] at a node y: K(., y) = mu1c1 y x^2 + q1(y) x + lambda1 y is a
-    quadratic, so its extremes on [lo, hi] lie at the ends and the clamped
-    vertex, and a sign change among those three means a zero between."""
-    y = y_nodes
-    q1 = params.mu2c2 * y * y - params.rate_sum * y + params.lambda2
-    xs = np.stack([np.full(y.size, lo), np.full(y.size, hi),
-                   np.clip(-q1 / (2.0 * params.mu1c1 * y), lo, hi)])
-    kern = kernel_value(params, xs, y)
-    scale = params.rate_sum * np.maximum(1.0, np.abs(xs)) ** 2
-    bad = ((np.min(np.abs(kern) / scale, axis=0) < 1e-12)
-           | ((kern.min(axis=0) < 0.0) & (kern.max(axis=0) > 0.0)))
-    if bad.any():
-        raise KernelZeroOnCut(f"K(x, {y[bad][0]}) vanishes for x in "
-                              f"[{lo}, {hi}]")
-
-
-def _phi1_interpolated(params: ModelParams, bp: BranchPoints,
-                       y_nodes: np.ndarray, phi1_weights: np.ndarray,
-                       xs: np.ndarray) -> tuple[np.ndarray, int]:
-    """phi1 at each x of xs in [x1, x2], from a Chebyshev interpolant of
-    log phi1, and the number of points the interpolant sampled.
-
-    The Lobatto points x1 + (x2 - x1)(1 + cos(pi j/n))/2 nest, so each
-    doubling of n, from PHI1_START_DEGREE, evaluates only the n new ones;
-    a DCT-I, the real FFT of the mirrored samples, gives the coefficients.
-    n doubles while the last eighth of them exceeds PHI1_TAIL; past
-    xs.size - 1, the kernel sums at xs replace it.  It reads K only at its
-    samples, so a kernel zero anywhere on [x1, x2] is refused first.
-    """
-    _check_kernel_on_cut(params, y_nodes, bp.x1, bp.x2)
-    mid, half = 0.5 * (bp.x1 + bp.x2), 0.5 * (bp.x2 - bp.x1)
-
-    def log_phi1(j, n):
-        x = mid + half * np.cos(math.pi * j / n)
-        return np.log(_phi1_values(params, y_nodes, phi1_weights, x))
-
-    n = min(PHI1_START_DEGREE, xs.size - 1)
-    samples = log_phi1(np.arange(n + 1), n)
-    while True:
-        coef = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real
-        coef[[0, -1]] *= 0.5
-        coef /= n
-        if np.max(np.abs(coef[-(n // 8):])) <= PHI1_TAIL:
-            return np.exp(chebyshev.chebval((xs - mid) / half, coef)), n + 1
-        if 2 * n >= xs.size:
-            return _phi1_values(params, y_nodes, phi1_weights, xs), xs.size
-        n *= 2
-        merged = np.empty(n + 1)
-        merged[::2], merged[1::2] = samples, log_phi1(np.arange(1, n, 2), n)
-        samples = merged
+def cut_moments(weights: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
+    """Sum over the cut nodes of weights (each row, if 2-D) times z^r, r =
+    0..count - 1: one matmul over y on z^(64q + j) = z^(64q) z^j, each
+    power rounded once."""
+    high = z ** (64.0 * np.arange(-(-count // 64))[:, None])
+    low = z ** np.arange(64.0)[:, None]
+    moments = (weights[..., None, :] * high) @ low.T
+    return moments.reshape(*weights.shape[:-1], -1)[..., :count]
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,12 +162,14 @@ class BoundaryCache:
     cut_base is the one weight of every cut integral against the boundary
     polynomial, w (lambda2 - mu2c2 y^2) sin(Theta1) exp(-Phi1) with w the
     grid weights; phi1_weights is w times g of :func:`phi1_exponent`, the
-    integrand numerator of log phi1.  Both are divided by K(x, y) only on
-    the blocks of :func:`kernel_blocks`.  x_theta and phi1_theta hold
-    x(theta) and phi1 on the coefficient assembly's grid theta = pi*j/n,
-    j = 0..n; phi1_theta comes from a Chebyshev interpolant of log phi1 on
-    [x1, x2] through phi1_nodes Lobatto points, 65 on most stable sets, or
-    from the kernel sums at all n + 1 where that does not converge first.
+    integrand numerator of log phi1.  At a given x both are divided by
+    K(x, y) on the blocks of :func:`kernel_blocks`.  x_theta and phi1_theta
+    hold x(theta) and phi1 on the coefficient assembly's grid theta_j =
+    pi j/n, j = 0..n.  There K(x(theta), y) = x(theta) D(y, theta), D =
+    lambda2 (1 - 2z cos(theta) + z^2), z = y/r2 < 1, so log phi1 is the
+    cut sum of phi1_weights/D over pi: the Poisson series of 1/D folded mod
+    2n, as in the assembly, makes it one DCT-I of the cut moments, exact on
+    the grid and free of kernel zeros, D >= lambda2 (1 - z)^2 > 0.
     """
 
     params: ModelParams
@@ -233,28 +180,34 @@ class BoundaryCache:
     phi1_weights: np.ndarray = field(repr=False)
     x_theta: np.ndarray = field(repr=False)
     phi1_theta: np.ndarray = field(repr=False)
-    phi1_nodes: int
 
     @classmethod
     def build(cls, params: ModelParams,
               cfg: QuadConfig | None = None) -> "BoundaryCache":
         cfg = cfg or QuadConfig()
-        bp = branch_points(params)
-        nodes, weights = cosine_grid(bp.y1, bp.y2, cfg.grid_size)
+        bp, n = branch_points(params), cfg.grid_size
+        nodes, weights = cosine_grid(bp.y1, bp.y2, n)
         th1 = theta1(params, nodes)
         g = (params.lambda2 - params.mu2c2 * nodes ** 2) * th1 / nodes
         phi_big = phi1_exponent(params, bp, nodes, weights, g)
         phi1_weights = weights * g
-        x_theta = x_of_theta(
-            params, np.linspace(0.0, math.pi, cfg.grid_size + 1))
-        phi1_theta, phi1_nodes = _phi1_interpolated(
-            params, bp, nodes, phi1_weights, x_theta)
+        x_theta = x_of_theta(params, np.linspace(0.0, math.pi, n + 1))
+        # log phi1(x(theta_j)) = sum_r c_r (nu_r + nu_(2n-r)) cos(r theta_j)
+        # / pi, c_0 = c_n = 1, else 2, nu_r the moments of phi1_weights over
+        # lambda2 (1 - z^2)(1 - z^(2n)); below mode n, nu_(2n-r) < e^-37 too
+        z = nodes / bp.r2
+        modes = poisson_modes(z, n)
+        nu = cut_moments(phi1_weights / (params.lambda2 * (1.0 - z) * (
+            1.0 + z) * -np.expm1(2 * n * np.log(z))), z,
+            2 * n + 1 if modes == n else modes + 1)
+        fold = nu[:modes + 1] + (nu[:n - 1:-1] if modes == n else 0.0)
+        fold[1:n] *= 2.0
+        phi1_theta = np.exp(np.fft.rfft(fold, 2 * n).real / math.pi)
         cut_base = (weights * (params.lambda2 - params.mu2c2 * nodes * nodes)
                     * np.sin(th1) * np.exp(-phi_big))
         return cls(params=params, bp=bp, cfg=cfg, y_nodes=nodes,
                    cut_base=cut_base, phi1_weights=phi1_weights,
-                   x_theta=x_theta, phi1_theta=phi1_theta,
-                   phi1_nodes=phi1_nodes)
+                   x_theta=x_theta, phi1_theta=phi1_theta)
 
     def phi1(self, x) -> float:
         """The sectionally analytic factor phi1(x), |x| < r1; phi1(0) = 1."""
@@ -262,7 +215,9 @@ class BoundaryCache:
 
     def phi1_many(self, xs) -> np.ndarray:
         """phi1 at each x; KernelZeroOnCut if K(x, .) vanishes on the cut."""
-        return _phi1_values(self.params, self.y_nodes, self.phi1_weights, xs)
+        xs = np.array(xs, dtype=float)
+        return np.exp(xs / math.pi * kernel_sums(
+            self.params, self.y_nodes, self.phi1_weights, xs))
 
 
 @functools.lru_cache(maxsize=32)

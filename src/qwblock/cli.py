@@ -6,9 +6,10 @@ truth), ``prelimit`` (finite pre-rescaling chain), and ``compare``
 (analytic vs oracle with a pass/fail tolerance gate).
 
 Rates are taken with mu and c separate, as they appear in the original
-finite-capacity model, and multiplied internally.  The environment variable
-QW_GRID_SIZE, read when a command runs, overrides the default quadrature
-grid size.
+finite-capacity model, and multiplied internally.  The commands that
+solve analytically, ``solve``, ``sweep`` and ``compare``, take
+``--grid-size``; without it the environment variable QW_GRID_SIZE, read
+when a command runs, overrides the default quadrature grid size.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c2", type=float, default=1.0)
     p.add_argument("--a", type=int, help="threshold (default: the --config "
                    "file's, else 0)")
+    p.add_argument("--output", "-o", help="output file (default: stdout)")
+
+
+def _add_grid_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-size", type=int,
                    help="default: $QW_GRID_SIZE, else 512")
-    p.add_argument("--output", "-o", help="output file (default: stdout)")
 
 
 def _read_params(args) -> dict:
@@ -160,9 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="analytic blocking report for one threshold")
     _add_param_args(p)
+    _add_grid_arg(p)
 
     p = sub.add_parser("sweep", help="blocking pair for a range of thresholds")
     _add_param_args(p)
+    _add_grid_arg(p)
     p.add_argument("--a-min", type=int, default=0)
     p.add_argument("--a-max", type=int, default=30)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -177,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="analytic vs oracle with tolerance gate")
     _add_param_args(p)
+    _add_grid_arg(p)
     p.add_argument("--box", type=int, nargs=2, metavar=("N1", "N2"))
     p.add_argument("--tol", type=float, default=5e-3)
 

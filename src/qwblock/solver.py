@@ -4,8 +4,9 @@ The reservation threshold makes the boundary unknown a polynomial with
 coefficients p(0,0..a).  Seeded with p(0,0) = 1, the rest solve a dense
 a-by-a system of double sums over a theta grid and the cut grid: the
 kernel's Poisson series folded mod 2n is exact on theta_j = pi j/n, so
-each is cut moments times FFT sums.  Linearity in the seed lets the
-vector be rescaled once so that rate conservation holds exactly.
+each is cut moments times FFT sums, the moments and the modes kept from
+the helpers that give phi1 on the same grid.  Linearity in the seed lets
+the vector be rescaled once so that rate conservation holds exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .boundary import BoundaryCache, boundary_cache, kernel_blocks, phi2
+from .boundary import (BoundaryCache, boundary_cache, cut_moments,
+                       kernel_blocks, kernel_sums, phi2, poisson_modes)
 from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
                      refuse_float_errors)
 from .kernel import kernel_value, x_roots
@@ -82,16 +84,12 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     p, a = params, params.a
     n_t, y, r2 = cache.cfg.grid_size, cache.y_nodes, cache.bp.r2
     kern1 = next(kernel_blocks(p, y, np.ones(1)))[1][0]   # guarded K(1, y)
-    z, log_z = y / r2, np.log(y / r2)
-    modes = min(n_t, math.ceil(-37.0 / log_z.max()))
-    # nu[i + 1] = nu_i and the moments of cut_base/K(1, y) for P1(1), by
-    # one matmul over y on z^(64q + j) = z^(64q) z^j, each power rounded once
-    count = a + 1 + (2 * n_t if modes == n_t else modes)
-    high = z ** (64.0 * np.arange(-(-count // 64))[:, None])
-    weights = cache.cut_base / z / np.stack([p.lambda2 * (1.0 - z) * (
-        1.0 + z) * -np.expm1(2 * n_t * log_z), kern1])
-    nu, m1 = ((weights[:, None, :] * high)
-              @ (z ** np.arange(64.0)[:, None]).T).reshape(2, -1)
+    z = y / r2
+    modes = poisson_modes(z, n_t)
+    # nu[i + 1] = nu_i and the moments of cut_base/K(1, y) for P1(1)
+    nu, m1 = cut_moments(cache.cut_base / z / np.stack([p.lambda2 * (
+        1.0 - z) * (1.0 + z) * -np.expm1(2 * n_t * np.log(z)), kern1]), z,
+        a + 1 + (2 * n_t if modes == n_t else modes))
     r2_pow = r2 ** (np.arange(a + 1) - 1.0)
     p1_one = cache.phi1(1.0) * (np.eye(1, a + 1)[0] + p.lambda1 / (
         p.lambda2 * math.pi) * r2_pow * m1[:a + 1])
@@ -140,19 +138,15 @@ def _wrapped(v: np.ndarray, rows: int, cols: int, lo: int, step: int):
 def eval_P1(params: ModelParams, cache: BoundaryCache,
             bvec: BoundaryVector | np.ndarray, x):
     """Generating function P1(x) of the n2 = 0 boundary, |x| < r1: a float
-    at a scalar x, else an array, tabulated in row blocks of the kernel
-    matrix, each serving both phi1's sum and the cut integral's."""
+    at a scalar x, else an array: phi1 from phi1_many, the cut integral
+    from kernel_sums."""
     p = params
     coeffs = bvec.p if isinstance(bvec, BoundaryVector) else np.asarray(bvec)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     y = cache.y_nodes
     weight = cache.cut_base * np.polyval(coeffs[::-1], y) / y
-    log_sum, integral = np.empty(xs.size), np.empty(xs.size)
-    # the same row sums as phi1_many and kernel_sums, bit for bit
-    for rows, kern in kernel_blocks(p, y, xs):
-        log_sum[rows] = np.sum(cache.phi1_weights / kern, axis=1)
-        integral[rows] = np.sum(weight / kern, axis=1)
-    phi1_x = np.exp(xs / math.pi * log_sum)
+    phi1_x = cache.phi1_many(xs)
+    integral = kernel_sums(p, y, weight, xs)
     out = (phi1_x * float(coeffs[0])
            + xs * p.lambda1 * phi1_x / (p.lambda2 * math.pi) * integral)
     return out if np.ndim(x) else float(out[0])
@@ -271,7 +265,6 @@ def sweep(params: ModelParams, thresholds,
         baseline_a0=a0, normalization_residual=abs(
             p.lambda1 * pair.b1 + p.lambda2 * pair.b2 - p.drift),
         diagnostics={"grid_size": cache.cfg.grid_size,
-                     "phi1_nodes": cache.phi1_nodes,
                      "condition_estimate": bvec.cond})
         for bvec, pair in zip(bvecs, pairs)]
 

@@ -2,8 +2,10 @@
 
 theta2_of_x inverts qwblock.kernel.x_of_theta on the cut [x1, x2],
 chebyshev_u evaluates the Chebyshev polynomials of the second kind that
-the principal-value transform is checked against, and dense_coefficients
-forms the boundary system's theta sums node by node.
+the principal-value transform is checked against, dense_coefficients
+forms the boundary system's theta sums node by node, and
+phi1_theta_long_double sums phi1's cut integral on the theta grid in long
+double.
 """
 
 import math
@@ -79,3 +81,21 @@ def dense_coefficients(p, cache, n_t):
               * (sin_np1 @ (w_t * x_t * jk_small).T))
     beta = (2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)) * sin_np1 @ outer1
     return alpha1 + alpha2, beta
+
+
+def phi1_theta_long_double(cache):
+    """phi1 at x(theta_j), theta_j = pi j/n, j = 0..n, from x(theta) and
+    the cut sum of phi1_weights/K(x, y) in np.longdouble, with no Poisson
+    fold; x(theta) is qwblock.kernel.x_of_theta's small root, written as
+    2 lambda1/(c + sqrt(c^2 - 4 mu1c1 lambda1))."""
+    ld, p, n = np.longdouble, cache.params, cache.cfg.grid_size
+    theta = np.arccos(ld(-1.0)) * np.arange(n + 1) / ld(n)
+    lam1, lam2, mu1, mu2 = map(ld, (p.lambda1, p.lambda2, p.mu1c1, p.mu2c2))
+    c = lam1 + lam2 + mu1 + mu2 - 2 * np.sqrt(mu2 * lam2) * np.cos(theta)
+    x = 2 * lam1 / (c + np.sqrt(np.maximum(c * c - 4 * mu1 * lam1, 0)))
+    x, y = x[:, None], cache.y_nodes.astype(ld)[None, :]
+    kern = (mu1 * x * x * y + mu2 * x * y * y
+            - (lam1 + lam2 + mu1 + mu2) * x * y + lam1 * y + lam2 * x)
+    log_phi1 = x[:, 0] / np.arccos(ld(-1.0)) * np.sum(
+        cache.phi1_weights.astype(ld) / kern, axis=1)
+    return np.exp(log_phi1).astype(float)

@@ -6,10 +6,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from qwblock import boundary
-from qwblock.boundary import (BoundaryCache, _cached_build,
-                              _check_kernel_on_cut, alpha1, alpha1_winding,
-                              boundary_cache, phi1_exponent, phi2, theta1,
+from qwblock.boundary import (BoundaryCache, _cached_build, alpha1,
+                              alpha1_winding, boundary_cache, cut_moments,
+                              phi1_exponent, phi2, poisson_modes, theta1,
                               theta2)
 from qwblock.errors import KernelZeroOnCut, NonVanishingPhase
 from qwblock.kernel import Side, branch_points, kernel_value, x_roots
@@ -17,12 +16,13 @@ from qwblock.model import ModelParams
 from qwblock.quadrature import QuadConfig, cosine_grid
 
 from conftest import BASE, CASES, OVERLOAD2
+from helpers import phi1_theta_long_double
 
 PHI1_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
                           / "phi1_grid512.json").read_text())
 # queue 1 near critical (rho1 = 0.9957), y2 = 0.999994
 NEAR_CRITICAL1 = ModelParams(4.2249, 8.6730, 4.2068, 5.2413)
-# both queues near critical, where log phi1 needs more than 65 points
+# both queues near critical, where double sums at x_theta lose digits
 DOUBLY_NEAR_CRITICAL = [ModelParams(1.001, 1.0, 1.0, 1.0),
                         ModelParams(10.0, 10.0, 9.95, 9.9),
                         ModelParams(9.9, 0.6, 9.89, 0.59)]
@@ -189,72 +189,59 @@ def test_boundary_cache_is_a_frozen_value(cache64):
                                rtol=1e-13, atol=0)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
 @pytest.mark.parametrize("params, grid, rtol", [
     *((p, 512, 1e-13) for p in (*CASES.values(), NEAR_CRITICAL1)),
-    *((p, grid, 1e-11) for p in DOUBLY_NEAR_CRITICAL for grid in (512, 2048)),
-    # log phi1 unresolved at the 65 points grid 64 allows: the interpolant
-    # was 5.8e-12 off there, and the kernel sums take its place
+    *((p, grid, None if p == DOUBLY_NEAR_CRITICAL[0] else 1e-11)
+      for p in DOUBLY_NEAR_CRITICAL for grid in (512, 2048)),
     (ModelParams(0.5625, 2.0, 0.546875, 2.0), 64, 1e-13),
 ], ids=str)
 def test_phi1_theta_matches_the_direct_kernel_sums(params, grid, rtol):
+    # the reference takes x(theta) and K in long double, with no Poisson
+    # fold; phi1_many at the double x_theta is compared at rtol, and not
+    # at all on (1.001, 1, 1, 1), where it is up to 2.5e-10 off near x2
     cache = BoundaryCache.build(params, QuadConfig(grid))
-    np.testing.assert_allclose(cache.phi1_theta,
-                               cache.phi1_many(cache.x_theta),
-                               rtol=rtol, atol=0)
-
-
-def test_phi1_interpolant_point_count(monkeypatch):
-    sizes = []
-    direct = boundary._phi1_values
-
-    def spy(params, y_nodes, phi1_weights, xs):
-        sizes.append(len(xs))
-        return direct(params, y_nodes, phi1_weights, xs)
-
-    monkeypatch.setattr(boundary, "_phi1_values", spy)
-    for params in CASES.values():
-        sizes.clear()
-        cache = BoundaryCache.build(params, QuadConfig(512))
-        assert cache.phi1_nodes == sum(sizes) == 65
-    hard = DOUBLY_NEAR_CRITICAL[0]
-    assert BoundaryCache.build(hard, QuadConfig(512)).phi1_nodes > 65
-    for grid in (16, 18, 64, 100, 512):
-        cache = BoundaryCache.build(hard, QuadConfig(grid))
-        assert cache.phi1_nodes <= grid + 1
+    np.testing.assert_allclose(cache.phi1_theta, phi1_theta_long_double(
+        cache), rtol=1e-13, atol=0)
+    if rtol is not None:
+        np.testing.assert_allclose(cache.phi1_theta,
+                                   cache.phi1_many(cache.x_theta),
+                                   rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("params", [*CASES.values(), NEAR_CRITICAL1], ids=str)
 def test_kernel_guard_passes_the_cut(params):
+    # phi1_exponent's refusal of y2 >= r2 is the only guard phi1_theta needs:
+    # with z = y/r2 < 1 and x(theta) >= x1 > 0, K(x(theta), y)/x(theta) =
+    # D >= lambda2 (1 - z)^2 > 0 at every node; K itself loses ~3e-13 there
     cache = boundary_cache(params)
-    _check_kernel_on_cut(params, cache.y_nodes, cache.bp.x1, cache.bp.x2)
+    z = cache.y_nodes / cache.bp.r2
+    assert cache.bp.y2 < cache.bp.r2 and np.all(z < 1.0)
+    assert np.all(cache.x_theta >= cache.bp.x1) and cache.bp.x1 > 0.0
+    x = cache.x_theta[:, None]
+    d = kernel_value(params, x, cache.y_nodes[None, :]) / x
+    assert np.min(d / (params.lambda2 * (1.0 - z) ** 2)) > 1.0 - 1e-11
 
 
-@pytest.mark.parametrize("y_out", ["crossing", "tangent"])
-def test_kernel_guard_finds_a_zero_between_samples(cache64, y_out):
-    # No real y gives K(., y) a zero strictly inside (x1, x2), where
-    # Delta2(x) < 0.  So the guard's exact minimum is checked on an interval
-    # [x1, hi] widened past the real zeros that a node off the cut brings:
-    # one crossing, or two a few 1e-5 apart just past the branch point y2.
-    # Neither 65 Lobatto nor 513 cosine-spaced samples of [x1, hi] find
-    # |K| below the threshold, yet K is negative between the zeros.
-    p, bp = BASE, cache64.bp
-    y = bp.y2 + 0.3 if y_out == "crossing" else bp.y2 * (1.0 + 1e-9)
-    q1 = p.mu2c2 * y * y - p.rate_sum * y + p.lambda2
-    disc = q1 * q1 - 4.0 * p.mu1c1 * p.lambda1 * y * y
-    zeros = (-q1 + np.array([-1.0, 1.0]) * math.sqrt(disc)) / (
-        2.0 * p.mu1c1 * y)
-    assert bp.x2 < zeros.min()
-    hi = zeros.min() + 0.25
-    for n in (64, 512):
-        xs = bp.x1 + (hi - bp.x1) * 0.5 * (1.0 - np.cos(
-            math.pi * np.arange(n + 1) / n))
-        scale = p.rate_sum * np.maximum(1.0, np.abs(xs)) ** 2
-        assert np.min(np.abs(kernel_value(p, xs, y)) / scale) > 1e-12
-    nodes = cache64.y_nodes.copy()
-    nodes[-1] = y
-    with pytest.raises(KernelZeroOnCut, match=repr(y)[:8]):
-        _check_kernel_on_cut(p, nodes, bp.x1, hi)
-    _check_kernel_on_cut(p, nodes, bp.x1, bp.x2)
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+def test_cut_moments_are_the_power_sums(cache64, count):
+    z = cache64.y_nodes / cache64.bp.r2
+    w = np.stack([cache64.phi1_weights, cache64.cut_base])
+    powers = z[:, None] ** np.arange(count)
+    moments = cut_moments(w, z, count)
+    assert moments.shape == (2, count)
+    # each power rounded once, against the terms' absolute sum
+    assert np.all(np.abs(moments - w @ powers) <= 1e-14 * (np.abs(w) @ powers))
+    np.testing.assert_array_equal(cut_moments(w[0], z, count), moments[0])
+
+
+def test_poisson_modes_cut_the_series_at_e_minus_37():
+    z = np.array([0.1, 0.5, 0.9])
+    modes = poisson_modes(z, 10 ** 6)
+    assert modes == 352
+    assert 0.9 ** modes < math.exp(-37.0) <= 0.9 ** (modes - 1)
+    assert poisson_modes(z, 100) == 100
 
 
 def test_boundary_cache_is_memoized():

@@ -115,7 +115,7 @@ def test_sweep_rejects_bad_range(capsys):
 
 
 def test_oracle_document(capsys, golden):
-    code, out = run(capsys, ["oracle", *ARGS, "--a", "2",
+    code, out = run(capsys, ["oracle", *ARGS[:6], "--a", "2",
                              "--box", "60", "62"])
     assert code == 0
     doc = json.loads(out)
@@ -150,6 +150,16 @@ def test_compare_fails_with_absurd_tolerance(capsys):
                              "--box", "15", "17", "--tol", "0"])
     assert code == 2
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--box", "60", "62"],
+                                  ["prelimit", "--nu", "3"]], ids=" ".join)
+def test_grid_size_is_refused_where_it_is_not_read(capsys, argv):
+    # only the analytic solve reads the grid; odd sizes would go unnoticed
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *ARGS[:6], "--grid-size", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-size 7" in capsys.readouterr().err
 
 
 def test_parser_lists_subcommands():
@@ -324,14 +334,15 @@ RATE = st.floats(0.5, 10.0)
 
 @st.composite
 def oracle_argv(draw):
-    """``oracle`` or ``compare`` argv on any rates, threshold and box, stable
-    or not, at grid size 64."""
+    """``oracle``, or ``compare`` at grid size 64, argv on any rates,
+    threshold and box, stable or not."""
+    command = draw(st.sampled_from(["oracle", "compare"]))
     rates = [flag for name in ("lambda1", "lambda2", "mu1", "mu2")
              for flag in (f"--{name}", repr(draw(RATE)))]
     box = [str(draw(st.integers(-2, 80))) for _ in range(2)]
-    return [draw(st.sampled_from(["oracle", "compare"])), *rates,
-            "--a", str(draw(st.integers(0, 250))), "--box", *box,
-            "--grid-size", "64"]
+    grid = ["--grid-size", "64"] if command == "compare" else []
+    return [command, *rates, "--a", str(draw(st.integers(0, 250))),
+            "--box", *box, *grid]
 
 
 # log-uniform on [1e-3, 1e3], and the extremes of a double

@@ -8,6 +8,7 @@ from qwblock.errors import DegenerateBranchPoints, OnCut
 from qwblock.kernel import (Side, branch_points, discriminants, kernel_value,
                             x_of_theta, x_roots, y_roots)
 from qwblock.model import ModelParams
+from qwblock.quadrature import cosine_grid
 
 from conftest import BASE, OVERLOAD2, UNDERLOAD2
 from helpers import chebyshev_u, theta2_of_x
@@ -120,6 +121,20 @@ def test_x_of_theta_endpoints_and_range():
     theta = np.linspace(0.0, math.pi, 101)
     x = x_of_theta(p, theta)
     assert np.all(x >= bp.x1 - 1e-12) and np.all(x <= bp.x2 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [BASE, UNDERLOAD2, OVERLOAD2], ids=str)
+def test_kernel_on_the_x_cut_is_x_times_the_poisson_denominator(p):
+    # K(x(theta), .) has the conjugate roots r2 exp(+-i theta), so
+    # K(x(theta), y) = x(theta) lambda2 (1 - 2z cos(theta) + z^2), z = y/r2
+    bp = branch_points(p)
+    theta = np.linspace(0.0, math.pi, 65)[:, None]
+    y, _ = cosine_grid(bp.y1, bp.y2, 64)
+    x, z = x_of_theta(p, theta), y / bp.r2
+    np.testing.assert_allclose(
+        kernel_value(p, x, y),
+        x * p.lambda2 * (1.0 - 2.0 * z * np.cos(theta) + z * z),
+        rtol=1e-12, atol=0)
 
 
 def test_theta2_matches_y0_argument():
