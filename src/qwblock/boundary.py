@@ -1,7 +1,9 @@
 """Boundary functions of the Riemann-Hilbert problems.
 
 Theta1 is the half-phase of the boundary coefficient alpha1 on the circle
-of radius r1, Phi1 its Cauchy-integral companion, and phi1 the resulting
+of radius r1, Phi1 its Cauchy-integral companion, one sum over the
+Chebyshev coefficients of its integrand (principal value and regular
+integral alike), and phi1 the resulting
 sectionally analytic factor evaluated inside the circle: by kernel sums
 at any x, and on the coefficient assembly's theta grid by the Poisson
 moments that the assembly folds too (:func:`cut_moments`,
@@ -22,12 +24,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import KernelZeroOnCut, NonVanishingPhase
 from .kernel import (BranchPoints, branch_points, discriminants, kernel_value,
                      x_of_theta, y_roots)
 from .model import ModelParams
-from .quadrature import QuadConfig, blocks, cosine_grid, cut_hilbert
+from .quadrature import (QuadConfig, blocks, chebyshev_coefficients,
+                         cosine_grid, cut_hilbert)
 
 WINDING_POINTS = 2000    # circle nodes of alpha1_winding
 
@@ -84,12 +88,17 @@ def alpha1_winding(params: ModelParams) -> int:
 
 
 def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
-                  weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+                  g: np.ndarray) -> np.ndarray:
     """The principal-value exponent Phi1 at every cosine-grid node.
 
     g = (lambda2 - mu2c2 y^2) Theta1(y)/y on the nodes.  Partial fractions
     give Phi1(y) = y/(pi (mu2c2 y^2 - lambda2)) [PV int g/(xi - y)
-    - mu2c2 y int g/(mu2c2 y xi - lambda2)]; the second integral is regular.
+    - int g/(xi - xi*)], xi* = lambda2/(mu2c2 y) > y2.  In t = (xi - mid)/half
+    with g's Chebyshev coefficients c_k, the principal value is -pi sum_k c_k
+    T_{k+1}(t) (:func:`cut_hilbert`) and the regular integral -pi sum_k c_k
+    W^(k+1), W = 1/(T* + sqrt(T*^2 - 1)) < 1 at T* = (xi* - mid)/half > 1
+    (Mason & Handscomb, Chebyshev Polynomials, ch. 9): one sum over one
+    coefficient vector, its W terms kept up to e^-37 (:func:`poisson_modes`).
     """
     lam2, mu2 = params.lambda2, params.mu2c2
     if np.any((nodes <= bp.y1) | (nodes >= bp.y2)):
@@ -104,12 +113,15 @@ def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
               + 2.0 * params.lambda1 <= 0.0):
         raise NonVanishingPhase(
             f"Theta1 tends to pi at an end of [{bp.y1}, {bp.y2}]")
-    regular = np.empty(nodes.size)
-    for rows in blocks(nodes.size, nodes.size):
-        regular[rows] = ((1.0 / (np.outer(mu2 * nodes[rows], nodes) - lam2))
-                         @ (weights * g))
+    coef = chebyshev_coefficients(g)
+    pole = lam2 / (mu2 * nodes)
+    # (T* - 1)(T* + 1) half^2 from the pole's distances to both ends, so
+    # that W keeps its digits as the pole nears y2
+    w = 0.5 * (bp.y2 - bp.y1) / (pole - 0.5 * (bp.y1 + bp.y2) + np.sqrt(
+        (pole - bp.y1) * (pole - bp.y2)))
+    regular = w * polyval(w, coef[:poisson_modes(w, nodes.size)])
     return (nodes / (math.pi * (mu2 * nodes * nodes - lam2))
-            * (cut_hilbert(g) - mu2 * nodes * regular))
+            * (cut_hilbert(coef) + math.pi * regular))
 
 
 def kernel_blocks(params: ModelParams, y_nodes: np.ndarray, xs: np.ndarray):
@@ -140,9 +152,12 @@ def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
 
 
 def poisson_modes(z: np.ndarray, n: int) -> int:
-    """The last mode kept of the Poisson series in z = y/r2 folded mod 2n:
-    n, or the first past which z^r < e^-37 at every cut node."""
-    return min(n, math.ceil(-37.0 / np.log(z).max()))
+    """The last mode kept of a power series in z < 1 cut at e^-37: n, or
+    the first past which z^r < e^-37 at every z; n too when the largest z
+    rounds to 1.  It cuts the Poisson series in z = y/r2 folded mod 2n,
+    and the W series of :func:`phi1_exponent`."""
+    top = z.max()
+    return n if top >= 1.0 else min(n, math.ceil(-37.0 / math.log(top)))
 
 
 def cut_moments(weights: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
@@ -189,7 +204,7 @@ class BoundaryCache:
         nodes, weights = cosine_grid(bp.y1, bp.y2, n)
         th1 = theta1(params, nodes)
         g = (params.lambda2 - params.mu2c2 * nodes ** 2) * th1 / nodes
-        phi_big = phi1_exponent(params, bp, nodes, weights, g)
+        phi_big = phi1_exponent(params, bp, nodes, g)
         phi1_weights = weights * g
         x_theta = x_of_theta(params, np.linspace(0.0, math.pi, n + 1))
         # log phi1(x(theta_j)) = sum_r c_r (nu_r + nu_(2n-r)) cos(r theta_j)

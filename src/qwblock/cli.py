@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``solve`` (one blocking report), ``sweep`` (threshold sweep
-emitting one blocking pair per threshold as CSV), ``oracle`` (truncated-chain ground
-truth), ``prelimit`` (finite pre-rescaling chain), and ``compare``
-(analytic vs oracle with a pass/fail tolerance gate).
+emitting one blocking pair per threshold as CSV, or as JSON with
+``--format json``), ``oracle`` (truncated-chain ground truth),
+``prelimit`` (finite pre-rescaling chain), and ``compare`` (analytic vs
+oracle with a pass/fail tolerance gate).
 
 Rates are taken with mu and c separate, as they appear in the original
 finite-capacity model, and multiplied internally.  The commands that

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBranchPoints, NegativeDiscriminant, OnCut
+from .errors import (DegenerateBranchPoints, NegativeDiscriminant, OnCut,
+                     OutOfRange)
 from .model import ModelParams
 
 _CUT_TOL = 1e-9
@@ -99,14 +100,16 @@ def branch_points(params: ModelParams) -> BranchPoints:
     xs = _quartic_roots(params.mu1c1, s,
                         math.sqrt(params.mu2c2 * params.lambda2),
                         params.lambda1)
+    radii = (math.sqrt(params.lambda1 / params.mu1c1),
+             math.sqrt(params.lambda2 / params.mu2c2))
+    # float arithmetic overflows to inf and nan here rather than raising
+    if not all(map(math.isfinite, (*ys, *xs, *radii))):
+        raise OutOfRange(f"branch points beyond double precision: {ys}, "
+                         f"{xs}, radii {radii}")
     for seq in (ys, xs):
         if min(b - a for a, b in zip(seq, seq[1:])) < 1e-12:
             raise DegenerateBranchPoints(f"coincident branch points: {seq}")
-    return BranchPoints(
-        *ys, *xs,
-        r1=math.sqrt(params.lambda1 / params.mu1c1),
-        r2=math.sqrt(params.lambda2 / params.mu2c2),
-    )
+    return BranchPoints(*ys, *xs, *radii)
 
 
 def _root_pair(z, cuts, side: Side | None, quad: float, const: float,

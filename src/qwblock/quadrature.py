@@ -3,8 +3,10 @@
 :func:`cosine_grid` is the fixed midpoint rule in the angular variable
 y = mid + half*cos(psi), clustering nodes at the endpoints.  Every cut
 integral in the pipeline runs on it: integrands vanishing like sqrt(.)
-at both ends are integrated spectrally, and :func:`cut_hilbert` gives
-their Cauchy principal value at every node.
+at both ends are integrated spectrally.  :func:`chebyshev_coefficients`
+takes such an integrand's Chebyshev coefficients, from which
+:func:`cut_hilbert` gives its Cauchy principal value at every node, and
+the boundary module its regular integrals in closed form.
 """
 
 from __future__ import annotations
@@ -54,23 +56,37 @@ def cosine_grid(a: float, b: float, n: int):
     return nodes, weights
 
 
-def cut_hilbert(g: np.ndarray) -> np.ndarray:
-    """PV integral of g(xi)/(xi - y) over [a, b], at every grid node y.
+def chebyshev_coefficients(g: np.ndarray) -> np.ndarray:
+    """The c_k, k = 0..n - 1, of g sampled on the :func:`cosine_grid` nodes.
 
-    ``g`` holds samples on the :func:`cosine_grid` nodes of [a, b]
-    and vanishes like a square root at both ends, so on the grid angles
-    psi_j, g(cos psi) = sum_k c_k sin((k+1) psi) = sqrt(1 - t^2) U_k(t).
-    A DST-II gives the c_k, and PV int_{-1}^{1} sqrt(1 - t^2) U_k(t)/(t - x)
-    dt = -pi T_{k+1}(x) (Mason & Handscomb, Chebyshev Polynomials, ch. 9)
-    the principal value; both sums are length-2n FFTs.
+    ``g`` vanishes like a square root at both ends of [a, b], so on the
+    grid angles psi_j, g(cos psi) = sum_k c_k sin((k+1) psi) = sqrt(1 - t^2)
+    U_k(t) in t = cos psi.  One DST-II, a length-2n FFT, gives the c_k.
     """
     n = g.size
-    twist = np.exp(-0.5j * math.pi * np.arange(1, n + 1) / n)
-    coef = -np.imag(twist * np.fft.fft(g[::-1], 2 * n)[1:n + 1]) * (2.0 / n)
+    coef = (-np.imag(_twist(n) * np.fft.fft(g[::-1], 2 * n)[1:n + 1])
+            * (2.0 / n))
     coef[-1] *= 0.5
+    return coef
+
+
+def cut_hilbert(coef: np.ndarray) -> np.ndarray:
+    """PV integral of g(xi)/(xi - y) over [a, b], at every grid node y,
+    from g's :func:`chebyshev_coefficients`.
+
+    PV int_{-1}^{1} sqrt(1 - t^2) U_k(t)/(t - x) dt = -pi T_{k+1}(x)
+    (Mason & Handscomb, Chebyshev Polynomials, ch. 9), so the principal
+    value is the T sum -pi sum_k c_k T_{k+1}, a length-2n FFT.
+    """
+    n = coef.size
     spectrum = np.zeros(2 * n, dtype=complex)
-    spectrum[1:n + 1] = coef * twist
+    spectrum[1:n + 1] = coef * _twist(n)
     return -math.pi * np.real(np.fft.fft(spectrum)[:n])[::-1]
+
+
+def _twist(n: int) -> np.ndarray:
+    """The half-sample shift exp(-i pi k/(2n)), k = 1..n, of the grid."""
+    return np.exp(-0.5j * math.pi * np.arange(1, n + 1) / n)
 
 
 def blocks(n: int, width: int) -> list[slice]:

@@ -3,9 +3,10 @@
 theta2_of_x inverts qwblock.kernel.x_of_theta on the cut [x1, x2],
 chebyshev_u evaluates the Chebyshev polynomials of the second kind that
 the principal-value transform is checked against, dense_coefficients
-forms the boundary system's theta sums node by node, and
+forms the boundary system's theta sums node by node,
 phi1_theta_long_double sums phi1's cut integral on the theta grid in long
-double.
+double, and phi1_exponent_long_double sums Phi1's regular integral densely
+in long double.
 """
 
 import math
@@ -15,7 +16,8 @@ import numpy as np
 from qwblock.boundary import phi1_exponent, theta1
 from qwblock.kernel import BranchPoints, branch_points, x_of_theta
 from qwblock.model import ModelParams
-from qwblock.quadrature import cosine_grid
+from qwblock.quadrature import (blocks, chebyshev_coefficients, cosine_grid,
+                                cut_hilbert)
 
 
 def theta2_of_x(params: ModelParams, x, bp: BranchPoints | None = None):
@@ -64,7 +66,7 @@ def dense_coefficients(p, cache, n_t):
     bp = cache.bp
     y, w = cosine_grid(bp.y1, bp.y2, cache.y_nodes.size)
     th1 = theta1(p, y)
-    phi_big = phi1_exponent(p, bp, y, w, (p.lambda2 - p.mu2c2 * y * y)
+    phi_big = phi1_exponent(p, bp, y, (p.lambda2 - p.mu2c2 * y * y)
                             * th1 / y)
     base = w * (p.lambda2 - p.mu2c2 * y * y) * np.sin(th1) * np.exp(-phi_big)
     denom_j = (p.mu2c2 * y[:, None] ** 2 + p.lambda2 - 2.0 * y[:, None]
@@ -99,3 +101,23 @@ def phi1_theta_long_double(cache):
     log_phi1 = x[:, 0] / np.arccos(ld(-1.0)) * np.sum(
         cache.phi1_weights.astype(ld) / kern, axis=1)
     return np.exp(log_phi1).astype(float)
+
+
+def phi1_exponent_long_double(params: ModelParams, n: int):
+    """Phi1 on the n-node cosine grid of [y1, y2] by partial fractions,
+    y/(pi (mu2c2 y^2 - lambda2)) [cut_hilbert(g) - mu2c2 y sum_xi w g/(mu2c2
+    y xi - lambda2)], with the regular sum node by node and the prefactor
+    in np.longdouble; returns (y, Phi1)."""
+    bp = branch_points(params)
+    y, w = cosine_grid(bp.y1, bp.y2, n)
+    g = (params.lambda2 - params.mu2c2 * y * y) * theta1(params, y) / y
+    ld = np.longdouble
+    lam2, mu2, yl = ld(params.lambda2), ld(params.mu2c2), y.astype(ld)
+    wg = w.astype(ld) * g.astype(ld)
+    regular = np.empty(n, dtype=ld)
+    for rows in blocks(n, n):
+        regular[rows] = np.sum(wg / (mu2 * yl[rows, None] * yl[None, :]
+                                     - lam2), axis=1)
+    pv = cut_hilbert(chebyshev_coefficients(g)).astype(ld)
+    return y, (yl / (np.arccos(ld(-1.0)) * (mu2 * yl * yl - lam2))
+               * (pv - mu2 * yl * regular)).astype(float)

@@ -14,7 +14,8 @@ import numpy as np
 from qwblock.boundary import alpha1, alpha1_winding, boundary_cache, theta1
 from qwblock.kernel import Side, branch_points, kernel_value, x_roots, y_roots
 from qwblock.oracle import solve_limiting_walk, solve_prelimit
-from qwblock.quadrature import QuadConfig, cosine_grid, cut_hilbert
+from qwblock.quadrature import (QuadConfig, chebyshev_coefficients,
+                                cosine_grid, cut_hilbert)
 from qwblock.solver import (baseline_a0, blocking, blocking_with_estimate,
                             eval_P1, eval_P2, solve_boundary, sweep)
 
@@ -242,8 +243,9 @@ def test_criterion_11_quadrature_self_convergence():
     t, _ = cosine_grid(-1.0, 1.0, 512)
     sqrt_w = np.sqrt(1.0 - t * t)
     pv_err = max(
-        float(np.max(np.abs(cut_hilbert(sqrt_w * chebyshev_u(k, t))
-                            + math.pi * np.cos((k + 1) * np.arccos(t)))))
+        float(np.max(np.abs(
+            cut_hilbert(chebyshev_coefficients(sqrt_w * chebyshev_u(k, t)))
+            + math.pi * np.cos((k + 1) * np.arccos(t)))))
         for k in range(9))
     pv_exact = pv_err <= 1e-12
     ok = honest and pv_exact

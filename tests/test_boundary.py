@@ -16,7 +16,7 @@ from qwblock.model import ModelParams
 from qwblock.quadrature import QuadConfig, cosine_grid
 
 from conftest import BASE, CASES, OVERLOAD2
-from helpers import phi1_theta_long_double
+from helpers import phi1_exponent_long_double, phi1_theta_long_double
 
 PHI1_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
                           / "phi1_grid512.json").read_text())
@@ -26,6 +26,9 @@ NEAR_CRITICAL1 = ModelParams(4.2249, 8.6730, 4.2068, 5.2413)
 DOUBLY_NEAR_CRITICAL = [ModelParams(1.001, 1.0, 1.0, 1.0),
                         ModelParams(10.0, 10.0, 9.95, 9.9),
                         ModelParams(9.9, 0.6, 9.89, 0.59)]
+# the pole lambda2/(mu2c2 y) of Phi1's regular integral near the cut:
+# q = mu2c2 y2^2/lambda2 = 0.996
+POLE_NEAR_CUT = ModelParams(10.707, 10.245, 10.669, 10.238)
 
 
 @pytest.fixture(scope="module")
@@ -86,26 +89,46 @@ def test_phi1_exponent_matches_frozen_grid512(name):
     stride = PHI1_GOLDEN["stride"]
     np.testing.assert_array_equal(cache.y_nodes[::stride], frozen["y"])
     params, bp = cache.params, cache.bp
-    y, w = cosine_grid(bp.y1, bp.y2, PHI1_GOLDEN["grid_size"])
+    y, _ = cosine_grid(bp.y1, bp.y2, PHI1_GOLDEN["grid_size"])
     g = (params.lambda2 - params.mu2c2 * y * y) * theta1(params, y) / y
-    np.testing.assert_allclose(np.exp(-phi1_exponent(params, bp, y, w, g))
+    np.testing.assert_allclose(np.exp(-phi1_exponent(params, bp, y, g))
                                [::stride], frozen["exp_neg_phi1"],
                                rtol=1e-10, atol=0)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("grid", [512, 2048])
+@pytest.mark.parametrize("params", [
+    *CASES.values(), NEAR_CRITICAL1, *DOUBLY_NEAR_CRITICAL, POLE_NEAR_CUT,
+], ids=str)
+def test_phi1_exponent_matches_the_dense_long_double_sum(params, grid):
+    # the reference sums the regular integral node by node in long double;
+    # the prefactor 1/(mu2c2 y^2 - lambda2) amplifies the rounding of y^2
+    # by up to 1/(1 - q), q = mu2c2 y2^2/lambda2 (0.98 to 0.999 on the
+    # doubly near-critical sets and POLE_NEAR_CUT)
+    bp = branch_points(params)
+    y, reference = phi1_exponent_long_double(params, grid)
+    g = (params.lambda2 - params.mu2c2 * y * y) * theta1(params, y) / y
+    err = np.max(np.abs(phi1_exponent(params, bp, y, g) - reference))
+    q = params.mu2c2 * bp.y2 * bp.y2 / params.lambda2
+    eps = np.finfo(float).eps
+    assert err <= (1e-14 + 4.0 * eps / (1.0 - q)) * np.max(np.abs(reference))
+
+
 def test_phi1_exponent_rejects_outside_cut():
     bp = branch_points(BASE)
-    nodes, weights = cosine_grid(bp.y1, bp.y2, 16)
+    nodes, _ = cosine_grid(bp.y1, bp.y2, 16)
     g = theta1(BASE, nodes) / nodes
-    phi1_exponent(BASE, bp, nodes, weights, g)
+    phi1_exponent(BASE, bp, nodes, g)
     with pytest.raises(ValueError):
-        phi1_exponent(BASE, bp, nodes + 0.5, weights, g)
+        phi1_exponent(BASE, bp, nodes + 0.5, g)
 
 
 def test_phi1_exponent_guards_the_cut():
     bp = branch_points(BASE)
     nodes = np.linspace(bp.y1, bp.y2, 18)[1:-1]
-    args = (nodes, np.ones_like(nodes), theta1(BASE, nodes) / nodes)
+    args = (nodes, theta1(BASE, nodes) / nodes)
     # the secondary pole lambda2/(mu2c2*y) enters the cut once y2^2 >= 2.5
     with pytest.raises(KernelZeroOnCut):
         phi1_exponent(BASE, dataclasses.replace(bp, y2=1.6), *args)
@@ -127,7 +150,7 @@ def test_cache_arrays(cache64):
     assert np.all(cache64.cut_base >= 0.0)
     np.testing.assert_allclose(
         cache64.cut_base, w * (p.lambda2 - p.mu2c2 * y * y) * np.sin(th1)
-        * np.exp(-phi1_exponent(p, bp, y, w, g)), rtol=1e-15, atol=0)
+        * np.exp(-phi1_exponent(p, bp, y, g)), rtol=1e-15, atol=0)
 
 
 def test_phi1_normalization_and_positivity(cache64):
@@ -242,6 +265,9 @@ def test_poisson_modes_cut_the_series_at_e_minus_37():
     assert modes == 352
     assert 0.9 ** modes < math.exp(-37.0) <= 0.9 ** (modes - 1)
     assert poisson_modes(z, 100) == 100
+    # a base that rounds to 1 keeps every mode, with no division by log 1
+    # (a warning, and so an error under pytest)
+    assert poisson_modes(np.array([0.5, 1.0]), 64) == 64
 
 
 def test_boundary_cache_is_memoized():

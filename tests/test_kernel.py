@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qwblock.errors import DegenerateBranchPoints, OnCut
+from qwblock.errors import DegenerateBranchPoints, OnCut, OutOfRange
 from qwblock.kernel import (Side, branch_points, discriminants, kernel_value,
                             x_of_theta, x_roots, y_roots)
 from qwblock.model import ModelParams
@@ -59,6 +59,16 @@ def test_branch_points_radii():
 def test_degenerate_branch_points_raise():
     with pytest.raises(DegenerateBranchPoints):
         branch_points(ModelParams(1.0, 2.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("rates", [
+    (65.1, 1e308, 0.4977, 53.99),    # rate_sum ** 2: every root is nan
+    (7.452, 1.0, 1e-308, 9.875),     # lambda1/mu1c1: r1 and x4 are inf
+], ids=str)
+def test_branch_points_beyond_double_precision_raise(rates):
+    # float arithmetic overflows without raising, so the roots are checked
+    with pytest.raises(OutOfRange):
+        branch_points(ModelParams(*rates))
 
 
 def test_roots_satisfy_kernel_and_products():
