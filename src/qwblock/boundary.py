@@ -3,10 +3,9 @@
 Theta1 is the half-phase of the boundary coefficient alpha1 on the circle
 of radius r1, Phi1 its Cauchy-integral companion, one sum over the
 Chebyshev coefficients of its integrand (principal value and regular
-integral alike), and phi1 the resulting
-sectionally analytic factor evaluated inside the circle: by kernel sums
-at any x, and on the coefficient assembly's theta grid by the Poisson
-moments that the assembly folds too (:func:`cut_moments`,
+integral alike), and phi1 the resulting sectionally analytic factor inside
+the circle, by kernel sums at any x; the coefficient assembly takes it on
+its theta grid from cut moments (:func:`cut_moments`,
 :func:`poisson_modes`).  Theta2/phi2 play the same role for the
 no-reservation (a = 0) baseline.
 
@@ -28,7 +27,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import KernelZeroOnCut, NonVanishingPhase
 from .kernel import (BranchPoints, branch_points, discriminants, kernel_value,
-                     x_of_theta, y_roots)
+                     y_roots)
 from .model import ModelParams
 from .quadrature import (QuadConfig, blocks, chebyshev_coefficients,
                          cosine_grid, cut_hilbert)
@@ -141,13 +140,14 @@ def kernel_blocks(params: ModelParams, y_nodes: np.ndarray, xs: np.ndarray):
 
 def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
                 weights: np.ndarray, xs) -> np.ndarray:
-    """Sum over the cut nodes y of weights / K(x, y) at each x of xs.  Runs
-    on kernel_blocks, and so raises KernelZeroOnCut before it divides."""
+    """Sum over the cut nodes y of weights / K(x, y) at each x of xs, (m,
+    len(xs)) sums for (m, n_y) weights from one pass over kernel_blocks,
+    which raises KernelZeroOnCut before it divides."""
     xs = np.asarray(xs, dtype=float)
-    total = np.empty(xs.shape)
+    total = np.empty((*np.shape(weights)[:-1], xs.size))
     for rows, kern in kernel_blocks(params, y_nodes, xs):
         # a row sum per x keeps phi1 at x independent of the block x is in
-        total[rows] = np.sum(weights / kern, axis=1)
+        total[..., rows] = np.sum(weights[..., None, :] / kern, axis=-1)
     return total
 
 
@@ -178,13 +178,8 @@ class BoundaryCache:
     polynomial, w (lambda2 - mu2c2 y^2) sin(Theta1) exp(-Phi1) with w the
     grid weights; phi1_weights is w times g of :func:`phi1_exponent`, the
     integrand numerator of log phi1.  At a given x both are divided by
-    K(x, y) on the blocks of :func:`kernel_blocks`.  x_theta and phi1_theta
-    hold x(theta) and phi1 on the coefficient assembly's grid theta_j =
-    pi j/n, j = 0..n.  There K(x(theta), y) = x(theta) D(y, theta), D =
-    lambda2 (1 - 2z cos(theta) + z^2), z = y/r2 < 1, so log phi1 is the
-    cut sum of phi1_weights/D over pi: the Poisson series of 1/D folded mod
-    2n, as in the assembly, makes it one DCT-I of the cut moments, exact on
-    the grid and free of kernel zeros, D >= lambda2 (1 - z)^2 > 0.
+    K(x, y) on the blocks of :func:`kernel_blocks`, on the theta grid taken
+    to cut moments; they are read only, as later solves share the memo.
     """
 
     params: ModelParams
@@ -193,36 +188,23 @@ class BoundaryCache:
     y_nodes: np.ndarray = field(repr=False)
     cut_base: np.ndarray = field(repr=False)
     phi1_weights: np.ndarray = field(repr=False)
-    x_theta: np.ndarray = field(repr=False)
-    phi1_theta: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, params: ModelParams,
               cfg: QuadConfig | None = None) -> "BoundaryCache":
         cfg = cfg or QuadConfig()
-        bp, n = branch_points(params), cfg.grid_size
-        nodes, weights = cosine_grid(bp.y1, bp.y2, n)
+        bp = branch_points(params)
+        nodes, weights = cosine_grid(bp.y1, bp.y2, cfg.grid_size)
         th1 = theta1(params, nodes)
         g = (params.lambda2 - params.mu2c2 * nodes ** 2) * th1 / nodes
         phi_big = phi1_exponent(params, bp, nodes, g)
         phi1_weights = weights * g
-        x_theta = x_of_theta(params, np.linspace(0.0, math.pi, n + 1))
-        # log phi1(x(theta_j)) = sum_r c_r (nu_r + nu_(2n-r)) cos(r theta_j)
-        # / pi, c_0 = c_n = 1, else 2, nu_r the moments of phi1_weights over
-        # lambda2 (1 - z^2)(1 - z^(2n)); below mode n, nu_(2n-r) < e^-37 too
-        z = nodes / bp.r2
-        modes = poisson_modes(z, n)
-        nu = cut_moments(phi1_weights / (params.lambda2 * (1.0 - z) * (
-            1.0 + z) * -np.expm1(2 * n * np.log(z))), z,
-            2 * n + 1 if modes == n else modes + 1)
-        fold = nu[:modes + 1] + (nu[:n - 1:-1] if modes == n else 0.0)
-        fold[1:n] *= 2.0
-        phi1_theta = np.exp(np.fft.rfft(fold, 2 * n).real / math.pi)
         cut_base = (weights * (params.lambda2 - params.mu2c2 * nodes * nodes)
                     * np.sin(th1) * np.exp(-phi_big))
+        for table in (nodes, cut_base, phi1_weights):
+            table.flags.writeable = False
         return cls(params=params, bp=bp, cfg=cfg, y_nodes=nodes,
-                   cut_base=cut_base, phi1_weights=phi1_weights,
-                   x_theta=x_theta, phi1_theta=phi1_theta)
+                   cut_base=cut_base, phi1_weights=phi1_weights)
 
     def phi1(self, x) -> float:
         """The sectionally analytic factor phi1(x), |x| < r1; phi1(0) = 1."""

@@ -29,10 +29,6 @@ class OnCut(QwblockError):
     """Evaluation point lies on a branch cut and no side was specified."""
 
 
-class NegativeDiscriminant(QwblockError):
-    """The theta-parametrization discriminant went negative."""
-
-
 class NonVanishingPhase(QwblockError):
     """Theta1 does not vanish at an end of the cut [y1, y2]."""
 

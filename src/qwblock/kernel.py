@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateBranchPoints, NegativeDiscriminant, OnCut,
-                     OutOfRange)
+from .errors import DegenerateBranchPoints, OnCut, OutOfRange
 from .model import ModelParams
 
 _CUT_TOL = 1e-9
@@ -162,15 +161,17 @@ def y_roots(params: ModelParams, x, bp: BranchPoints | None = None,
 
 
 def x_of_theta(params: ModelParams, theta):
-    """Parametrization of the cut [x1, x2]: x(0) = x2, x(pi) = x1.
-
-    Vectorized over theta in [0, pi].
-    """
+    """Parametrization of the cut [x1, x2], x(0) = x2 and x(pi) = x1, over
+    theta in [0, pi]: the small root 2 lambda1/(c + sqrt(c^2 - 4 mu1c1
+    lambda1)) of K(., r2 e^(i theta)), c = rate_sum - 2 sqrt(mu2c2 lambda2)
+    cos(theta), with the factor gap = c - 2 sqrt(mu1c1 lambda1) >= 0 summed
+    from squares, which keeps its digits as both queues near critical."""
     theta = np.asarray(theta, dtype=float)
-    s = params.rate_sum
-    c = s - 2.0 * math.sqrt(params.mu2c2 * params.lambda2) * np.cos(theta)
-    delta1 = c * c - 4.0 * params.mu1c1 * params.lambda1
-    if np.any(delta1 < -1e-12 * s * s):
-        raise NegativeDiscriminant("delta1(theta) < 0 for a stable parameter set")
-    x = (c - np.sqrt(np.maximum(delta1, 0.0))) / (2.0 * params.mu1c1)
+    p, r12 = params, math.sqrt(params.mu1c1 * params.lambda1)
+    r22 = math.sqrt(p.mu2c2 * p.lambda2)
+    c = p.rate_sum - 2.0 * r22 * np.cos(theta)
+    gap = ((math.sqrt(p.lambda1) - math.sqrt(p.mu1c1)) ** 2
+           + (math.sqrt(p.lambda2) - math.sqrt(p.mu2c2)) ** 2
+           + 4.0 * r22 * np.sin(0.5 * theta) ** 2)
+    x = 2.0 * p.lambda1 / (c + np.sqrt(gap * (c + 2.0 * r12)))
     return x if x.ndim else float(x)

@@ -4,9 +4,9 @@ The reservation threshold makes the boundary unknown a polynomial with
 coefficients p(0,0..a).  Seeded with p(0,0) = 1, the rest solve a dense
 a-by-a system of double sums over a theta grid and the cut grid: the
 kernel's Poisson series folded mod 2n is exact on theta_j = pi j/n, so
-each is cut moments times FFT sums, the moments and the modes kept from
-the helpers that give phi1 on the same grid.  Linearity in the seed lets
-the vector be rescaled once so that rate conservation holds exactly.
+each is cut moments times FFT sums, and phi1 on that grid a cosine sum of
+the same fold.  Linearity in the seed lets the vector be rescaled once so
+that rate conservation holds exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .boundary import (BoundaryCache, boundary_cache, cut_moments,
                        kernel_blocks, kernel_sums, phi2, poisson_modes)
 from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
                      refuse_float_errors)
-from .kernel import kernel_value, x_roots
+from .kernel import kernel_value, x_of_theta, x_roots
 from .model import BlockingPair, ModelParams, isolated_limits, validate
 from .quadrature import QuadConfig, cosine_grid
 
@@ -75,29 +75,36 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     """The boundary system's coefficients; at a = 0 only p1_one.
 
     cos(m theta_j) on the trapezoid grid theta_j = pi j/n is even in m with
-    period 2n, so the Poisson series of 1/D(y, theta_j), z = y/r2 < 1,
-    folds exactly to sum_{r=0..n} c_r (z^r + z^(2n-r)) cos(r theta_j) /
-    (lambda2 (1 - z^2)(1 - z^(2n))), c_0 = c_n = 1, else 2: each entry is
-    cut moments nu_i of cut_base z^i over that denominator against one
-    FFT's sines and cosines.  Modes below e^-37 of mode 0 go, folds too.
+    period 2n, so the Poisson series of 1/D = x(theta_j)/K(x(theta_j), y),
+    z = y/r2 < 1, folds exactly to sum_{r=0..n} c_r (z^r + z^(2n-r))
+    cos(r theta_j) / (lambda2 (1 - z^2)(1 - z^(2n))), c_0 = c_n = 1, else
+    2: each entry is cut moments of cut_base z^i over that denominator
+    against one FFT's sines and cosines, and log phi1(x(theta_j)) a cosine
+    sum of those of phi1_weights.  Modes below e^-37 of mode 0 go, folds
+    too; D >= lambda2 (1 - z)^2 > 0 needs no kernel guard.
     """
     p, a = params, params.a
     n_t, y, r2 = cache.cfg.grid_size, cache.y_nodes, cache.bp.r2
     kern1 = next(kernel_blocks(p, y, np.ones(1)))[1][0]   # guarded K(1, y)
     z = y / r2
     modes = poisson_modes(z, n_t)
-    # nu[i + 1] = nu_i and the moments of cut_base/K(1, y) for P1(1)
-    nu, m1 = cut_moments(cache.cut_base / z / np.stack([p.lambda2 * (
-        1.0 - z) * (1.0 + z) * -np.expm1(2 * n_t * np.log(z)), kern1]), z,
+    den = p.lambda2 * (1.0 - z) * (1.0 + z) * -np.expm1(2 * n_t * np.log(z))
+    # moment i + 1 is of z^i: cut_base/den, cut_base/K(1, y), phi1_weights/den
+    base = cache.cut_base / z
+    nu, m1, mu = cut_moments(np.stack([
+        base / den, base / kern1, cache.phi1_weights / z / den]), z,
         a + 1 + (2 * n_t if modes == n_t else modes))
     r2_pow = r2 ** (np.arange(a + 1) - 1.0)
-    p1_one = cache.phi1(1.0) * (np.eye(1, a + 1)[0] + p.lambda1 / (
-        p.lambda2 * math.pi) * r2_pow * m1[:a + 1])
+    p1_one = math.exp(np.sum(cache.phi1_weights / kern1) / math.pi) * (
+        np.eye(1, a + 1)[0]
+        + p.lambda1 / (p.lambda2 * math.pi) * r2_pow * m1[:a + 1])
     if a == 0:
         return CoefficientMatrix(np.zeros((0, 1)), np.zeros(0), p1_one)
     theta = np.linspace(0.0, math.pi, n_t + 1)
     w_t = math.pi / n_t * np.concatenate([[0.5], np.ones(n_t - 1), [0.5]])
-    x_t, phi1_t = cache.x_theta, cache.phi1_theta
+    half_c = np.where(np.isin(np.arange(modes + 1), (0, n_t)), 0.5, 1.0)
+    x_t = x_of_theta(p, theta)
+    phi1_t = phi1_on_theta(half_c * _folded(mu, modes, n_t, 2)[:, 1], n_t)
     denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
     # theta weights of alpha1 and beta, and of alpha2 relative to their
     # common 2*mu2c2/pi^2; sin((k-1)t) = 2cos(t)sin(kt) - sin((k+1)t)
@@ -113,19 +120,30 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     spec = np.fft.fft(np.stack([outer1, u_t, v_t]), 2 * n_t)
     s, cu, cv = -spec[0].imag, spec[1].real, spec[2].real
     diff, total = cu + np.roll(cv, 1), cu + np.roll(cv, -1)   # at n -+ k
-    hankel = _wrapped(nu, modes + 1, a + 1, 0, 1)        # nu_(k-1+r)
-    if modes == n_t:                                     # nu_(k-1+2n-r)
-        hankel = hankel + _wrapped(nu, a + 1, modes + 1, 2 * n_t, -1).T
-    half_c = np.where(np.isin(np.arange(modes + 1), (0, n_t)), 0.5, 1.0)
     # sin(n t) cos(r t) and sin(n t) sin(k t) to single sines and cosines
     alpha = 2.0 * p.mu2c2 / math.pi ** 2 * r2_pow * (
         half_c * (_wrapped(s, a, modes + 1, 1, 1)
-                  + _wrapped(s, a, modes + 1, 1, -1)) @ hankel
+                  + _wrapped(s, a, modes + 1, 1, -1))
+        @ _folded(nu, modes, n_t, a + 1)
         + 0.5 * (_wrapped(diff, a, a + 1, 1, -1)
                  - _wrapped(total, a, a + 1, 1, 1)))
     beta = (2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)
             * _wrapped(s, a, 1, 1, 1)[:, 0])
     return CoefficientMatrix(alpha, beta, p1_one)
+
+
+def phi1_on_theta(half_fold: np.ndarray, n_t: int) -> np.ndarray:
+    """phi1(x(theta_j)), j = 0..n_t, from the folded moments times c_r/2:
+    exp of 2/pi times their cosine sum, one real FFT."""
+    return np.exp(2.0 * np.fft.rfft(half_fold, 2 * n_t).real / math.pi)
+
+
+def _folded(nu: np.ndarray, modes: int, n_t: int, cols: int) -> np.ndarray:
+    """The fold H[r, k] = nu_(k-1+r) + nu_(k-1+2n-r), r = 0..modes, k <
+    cols, with nu_i at nu[i + 1]; the mirror only when all n modes are
+    kept, as below mode n it is under e^-37 too."""
+    return _wrapped(nu, modes + 1, cols, 0, 1) + (
+        _wrapped(nu, cols, modes + 1, 2 * n_t, -1).T if modes == n_t else 0.0)
 
 
 def _wrapped(v: np.ndarray, rows: int, cols: int, lo: int, step: int):
@@ -138,15 +156,16 @@ def _wrapped(v: np.ndarray, rows: int, cols: int, lo: int, step: int):
 def eval_P1(params: ModelParams, cache: BoundaryCache,
             bvec: BoundaryVector | np.ndarray, x):
     """Generating function P1(x) of the n2 = 0 boundary, |x| < r1: a float
-    at a scalar x, else an array: phi1 from phi1_many, the cut integral
-    from kernel_sums."""
+    at a scalar x, else an array: log phi1 and the cut integral from one
+    kernel_sums over both weights."""
     p = params
     coeffs = bvec.p if isinstance(bvec, BoundaryVector) else np.asarray(bvec)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     y = cache.y_nodes
-    weight = cache.cut_base * np.polyval(coeffs[::-1], y) / y
-    phi1_x = cache.phi1_many(xs)
-    integral = kernel_sums(p, y, weight, xs)
+    log_sum, integral = kernel_sums(p, y, np.stack([
+        cache.phi1_weights, cache.cut_base * np.polyval(coeffs[::-1], y) / y]),
+        xs)
+    phi1_x = np.exp(xs / math.pi * log_sum)
     out = (phi1_x * float(coeffs[0])
            + xs * p.lambda1 * phi1_x / (p.lambda2 * math.pi) * integral)
     return out if np.ndim(x) else float(out[0])

@@ -4,15 +4,19 @@ theta2_of_x inverts qwblock.kernel.x_of_theta on the cut [x1, x2],
 chebyshev_u evaluates the Chebyshev polynomials of the second kind that
 the principal-value transform is checked against, dense_coefficients
 forms the boundary system's theta sums node by node,
-phi1_theta_long_double sums phi1's cut integral on the theta grid in long
-double, and phi1_exponent_long_double sums Phi1's regular integral densely
-in long double.
+assembled_phi1 catches phi1 on the theta grid on its way into the
+coefficient assembly, x_of_theta_long_double and phi1_theta_long_double
+give x(theta) and phi1's cut integral on that grid in long double, and
+phi1_exponent_long_double sums Phi1's regular integral densely in long
+double.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 
+from qwblock import solver
 from qwblock.boundary import phi1_exponent, theta1
 from qwblock.kernel import BranchPoints, branch_points, x_of_theta
 from qwblock.model import ModelParams
@@ -85,17 +89,42 @@ def dense_coefficients(p, cache, n_t):
     return alpha1 + alpha2, beta
 
 
-def phi1_theta_long_double(cache):
-    """phi1 at x(theta_j), theta_j = pi j/n, j = 0..n, from x(theta) and
-    the cut sum of phi1_weights/K(x, y) in np.longdouble, with no Poisson
-    fold; x(theta) is qwblock.kernel.x_of_theta's small root, written as
-    2 lambda1/(c + sqrt(c^2 - 4 mu1c1 lambda1))."""
-    ld, p, n = np.longdouble, cache.params, cache.cfg.grid_size
+def assembled_phi1(params: ModelParams, cache):
+    """phi1(x(theta_j)), j = 0..n, as qwblock.solver.assemble computes it
+    from the folded cut moments: the value phi1_on_theta returns to it."""
+    real, seen = solver.phi1_on_theta, []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with mock.patch.object(solver, "phi1_on_theta", spy):
+        solver.assemble(params.with_a(1), cache)
+    return seen[0]
+
+
+def x_of_theta_long_double(params: ModelParams, n: int):
+    """x(theta_j), theta_j = pi j/n, j = 0..n, in np.longdouble: the small
+    root 2 lambda1/(c + sqrt(c^2 - 4 mu1c1 lambda1)) of K(., Y0 = r2 e^(i
+    theta)), with its discriminant formed directly, as a reference for
+    qwblock.kernel.x_of_theta, which writes it as a sum of non-negative
+    terms; long double's 11 extra bits take the discriminant's loss, 4e-13
+    in double on (1.001, 1, 1, 1), to about 2e-16."""
+    ld, p = np.longdouble, params
     theta = np.arccos(ld(-1.0)) * np.arange(n + 1) / ld(n)
     lam1, lam2, mu1, mu2 = map(ld, (p.lambda1, p.lambda2, p.mu1c1, p.mu2c2))
     c = lam1 + lam2 + mu1 + mu2 - 2 * np.sqrt(mu2 * lam2) * np.cos(theta)
-    x = 2 * lam1 / (c + np.sqrt(np.maximum(c * c - 4 * mu1 * lam1, 0)))
-    x, y = x[:, None], cache.y_nodes.astype(ld)[None, :]
+    return 2 * lam1 / (c + np.sqrt(np.maximum(c * c - 4 * mu1 * lam1, 0)))
+
+
+def phi1_theta_long_double(cache):
+    """phi1 at x(theta_j), theta_j = pi j/n, j = 0..n, from
+    x_of_theta_long_double and the cut sum of phi1_weights/K(x, y) in
+    np.longdouble, with no Poisson fold."""
+    ld, p = np.longdouble, cache.params
+    lam1, lam2, mu1, mu2 = map(ld, (p.lambda1, p.lambda2, p.mu1c1, p.mu2c2))
+    x = x_of_theta_long_double(p, cache.cfg.grid_size)[:, None]
+    y = cache.y_nodes.astype(ld)[None, :]
     kern = (mu1 * x * x * y + mu2 * x * y * y
             - (lam1 + lam2 + mu1 + mu2) * x * y + lam1 * y + lam2 * x)
     log_phi1 = x[:, 0] / np.arccos(ld(-1.0)) * np.sum(

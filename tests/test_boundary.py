@@ -11,21 +11,18 @@ from qwblock.boundary import (BoundaryCache, _cached_build, alpha1,
                               phi1_exponent, phi2, poisson_modes, theta1,
                               theta2)
 from qwblock.errors import KernelZeroOnCut, NonVanishingPhase
-from qwblock.kernel import Side, branch_points, kernel_value, x_roots
+from qwblock.kernel import (Side, branch_points, kernel_value, x_of_theta,
+                            x_roots)
 from qwblock.model import ModelParams
 from qwblock.quadrature import QuadConfig, cosine_grid
 
-from conftest import BASE, CASES, OVERLOAD2
-from helpers import phi1_exponent_long_double, phi1_theta_long_double
+from conftest import (BASE, CASES, DOUBLY_NEAR_CRITICAL, NEAR_CRITICAL1,
+                      OVERLOAD2)
+from helpers import (assembled_phi1, phi1_exponent_long_double,
+                     phi1_theta_long_double)
 
 PHI1_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
                           / "phi1_grid512.json").read_text())
-# queue 1 near critical (rho1 = 0.9957), y2 = 0.999994
-NEAR_CRITICAL1 = ModelParams(4.2249, 8.6730, 4.2068, 5.2413)
-# both queues near critical, where double sums at x_theta lose digits
-DOUBLY_NEAR_CRITICAL = [ModelParams(1.001, 1.0, 1.0, 1.0),
-                        ModelParams(10.0, 10.0, 9.95, 9.9),
-                        ModelParams(9.9, 0.6, 9.89, 0.59)]
 # the pole lambda2/(mu2c2 y) of Phi1's regular integral near the cut:
 # q = mu2c2 y2^2/lambda2 = 0.996
 POLE_NEAR_CUT = ModelParams(10.707, 10.245, 10.669, 10.238)
@@ -203,13 +200,18 @@ def test_phi1_many_rejects_each_kernel_zero(cache64):
     assert bad.phi1_many([0.25])[0] > 0.0
 
 
-def test_boundary_cache_is_a_frozen_value(cache64):
+def test_boundary_cache_is_a_frozen_value():
+    # the memoized value is shared by every later solve of these rates
+    cache = boundary_cache(BASE, QuadConfig(grid_size=64))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cache64.phi1_theta = None
-    assert cache64.x_theta.shape == cache64.phi1_theta.shape == (65,)
-    np.testing.assert_allclose(cache64.phi1_theta,
-                               cache64.phi1_many(cache64.x_theta),
-                               rtol=1e-13, atol=0)
+        cache.bp = None
+    for name in ("y_nodes", "cut_base", "phi1_weights"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cache, name)[0] *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        cache.cut_base *= 2.0
+    assert [f.name for f in dataclasses.fields(cache)] == [
+        "params", "bp", "cfg", "y_nodes", "cut_base", "phi1_weights"]
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -222,27 +224,31 @@ def test_boundary_cache_is_a_frozen_value(cache64):
 ], ids=str)
 def test_phi1_theta_matches_the_direct_kernel_sums(params, grid, rtol):
     # the reference takes x(theta) and K in long double, with no Poisson
-    # fold; phi1_many at the double x_theta is compared at rtol, and not
+    # fold; phi1_many at the double x(theta) is compared at rtol, and not
     # at all on (1.001, 1, 1, 1), where it is up to 2.5e-10 off near x2
     cache = BoundaryCache.build(params, QuadConfig(grid))
-    np.testing.assert_allclose(cache.phi1_theta, phi1_theta_long_double(
-        cache), rtol=1e-13, atol=0)
+    phi1_t = assembled_phi1(params, cache)
+    np.testing.assert_allclose(phi1_t, phi1_theta_long_double(cache),
+                               rtol=1e-13, atol=0)
     if rtol is not None:
-        np.testing.assert_allclose(cache.phi1_theta,
-                                   cache.phi1_many(cache.x_theta),
-                                   rtol=rtol, atol=0)
+        x_t = x_of_theta(params, np.linspace(0.0, math.pi, grid + 1))
+        np.testing.assert_allclose(phi1_t, cache.phi1_many(x_t), rtol=rtol,
+                                   atol=0)
 
 
 @pytest.mark.parametrize("params", [*CASES.values(), NEAR_CRITICAL1], ids=str)
 def test_kernel_guard_passes_the_cut(params):
-    # phi1_exponent's refusal of y2 >= r2 is the only guard phi1_theta needs:
-    # with z = y/r2 < 1 and x(theta) >= x1 > 0, K(x(theta), y)/x(theta) =
-    # D >= lambda2 (1 - z)^2 > 0 at every node; K itself loses ~3e-13 there
+    # phi1_exponent's refusal of y2 >= r2 is the only guard the theta grid
+    # needs: with z = y/r2 < 1 and x(theta) >= x(pi) = x1 > 0,
+    # K(x(theta), y)/x(theta) = D >= lambda2 (1 - z)^2 > 0 at every node; K
+    # itself loses ~3e-13 there.  x(pi) is compared, not bp.x1: the
+    # quadratic formula of branch_points puts x1 3.4e-14 high on overload2
     cache = boundary_cache(params)
     z = cache.y_nodes / cache.bp.r2
     assert cache.bp.y2 < cache.bp.r2 and np.all(z < 1.0)
-    assert np.all(cache.x_theta >= cache.bp.x1) and cache.bp.x1 > 0.0
-    x = cache.x_theta[:, None]
+    x = x_of_theta(params, np.linspace(0.0, math.pi,
+                                       cache.cfg.grid_size + 1))[:, None]
+    assert np.all(x >= x[-1]) and x[-1] > 0.0
     d = kernel_value(params, x, cache.y_nodes[None, :]) / x
     assert np.min(d / (params.lambda2 * (1.0 - z) ** 2)) > 1.0 - 1e-11
 

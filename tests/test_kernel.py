@@ -10,8 +10,9 @@ from qwblock.kernel import (Side, branch_points, discriminants, kernel_value,
 from qwblock.model import ModelParams
 from qwblock.quadrature import cosine_grid
 
-from conftest import BASE, OVERLOAD2, UNDERLOAD2
-from helpers import chebyshev_u, theta2_of_x
+from conftest import (BASE, CASES, DOUBLY_NEAR_CRITICAL, NEAR_CRITICAL1,
+                      OVERLOAD2, UNDERLOAD2)
+from helpers import chebyshev_u, theta2_of_x, x_of_theta_long_double
 
 
 def test_kernel_value_closed_form():
@@ -131,6 +132,18 @@ def test_x_of_theta_endpoints_and_range():
     theta = np.linspace(0.0, math.pi, 101)
     x = x_of_theta(p, theta)
     assert np.all(x >= bp.x1 - 1e-12) and np.all(x <= bp.x2 + 1e-12)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("grid", [64, 512, 2048])
+@pytest.mark.parametrize("p", [*CASES.values(), NEAR_CRITICAL1,
+                               *DOUBLY_NEAR_CRITICAL], ids=str)
+def test_x_of_theta_matches_the_long_double_root(p, grid):
+    # where x2 and x3 nearly meet, c^2 - 4 mu1c1 lambda1 nearly vanishes
+    x = x_of_theta(p, np.linspace(0.0, math.pi, grid + 1))
+    np.testing.assert_allclose(x, x_of_theta_long_double(p, grid), rtol=2e-15,
+                               atol=0)
 
 
 @pytest.mark.parametrize("p", [BASE, UNDERLOAD2, OVERLOAD2], ids=str)
