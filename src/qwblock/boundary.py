@@ -39,12 +39,11 @@ def theta1(params: ModelParams, y):
     """Boundary angle Theta1(y) in [0, pi] for y in the cut [y1, y2]."""
     y = np.asarray(y, dtype=float)
     s = params.rate_sum
-    q1 = params.mu2c2 * y * y - s * y + params.lambda2
-    d1 = q1 * q1 - 4.0 * params.mu1c1 * params.lambda1 * y * y
+    d1, _ = discriminants(params, y)
     if np.any(d1 > 1e-9 * s * s):
         raise ValueError("y outside the cut [y1, y2]: Delta1(y) > 0")
     num = np.sqrt(np.maximum(-d1, 0.0))
-    den = q1 + 2.0 * params.lambda1
+    den = params.mu2c2 * y * y - s * y + params.lambda2 + 2.0 * params.lambda1
     out = np.arctan2(num, den)
     return out if out.ndim else float(out)
 
@@ -212,9 +211,13 @@ class BoundaryCache:
 
     def phi1_many(self, xs) -> np.ndarray:
         """phi1 at each x; KernelZeroOnCut if K(x, .) vanishes on the cut."""
-        xs = np.array(xs, dtype=float)
-        return np.exp(xs / math.pi * kernel_sums(
+        return self.phi1_from_sums(np.array(xs, dtype=float), kernel_sums(
             self.params, self.y_nodes, self.phi1_weights, xs))
+
+    @staticmethod
+    def phi1_from_sums(xs, sums):
+        """phi1(x) = exp(x/pi sum_y phi1_weights/K(x, y)), from those sums."""
+        return np.exp(xs / math.pi * sums)
 
 
 @functools.lru_cache(maxsize=32)

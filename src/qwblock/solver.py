@@ -21,7 +21,7 @@ from .boundary import (BoundaryCache, boundary_cache, cut_moments,
                        kernel_blocks, kernel_sums, phi2, poisson_modes)
 from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
                      refuse_float_errors)
-from .kernel import kernel_value, x_of_theta, x_roots
+from .kernel import discriminants, kernel_value, x_of_theta, x_roots
 from .model import BlockingPair, ModelParams, isolated_limits, validate
 from .quadrature import QuadConfig, cosine_grid
 
@@ -95,7 +95,7 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
         base / den, base / kern1, cache.phi1_weights / z / den]), z,
         a + 1 + (2 * n_t if modes == n_t else modes))
     r2_pow = r2 ** (np.arange(a + 1) - 1.0)
-    p1_one = math.exp(np.sum(cache.phi1_weights / kern1) / math.pi) * (
+    p1_one = cache.phi1_from_sums(1.0, np.sum(cache.phi1_weights / kern1)) * (
         np.eye(1, a + 1)[0]
         + p.lambda1 / (p.lambda2 * math.pi) * r2_pow * m1[:a + 1])
     if a == 0:
@@ -165,7 +165,7 @@ def eval_P1(params: ModelParams, cache: BoundaryCache,
     log_sum, integral = kernel_sums(p, y, np.stack([
         cache.phi1_weights, cache.cut_base * np.polyval(coeffs[::-1], y) / y]),
         xs)
-    phi1_x = np.exp(xs / math.pi * log_sum)
+    phi1_x = cache.phi1_from_sums(xs, log_sum)
     out = (phi1_x * float(coeffs[0])
            + xs * p.lambda1 * phi1_x / (p.lambda2 * math.pi) * integral)
     return out if np.ndim(x) else float(out[0])
@@ -188,9 +188,7 @@ def eval_P2(params: ModelParams, cache: BoundaryCache,
         raise ValueError(f"P2 requires |y| < r2 = {bp.r2}")
 
     x_nodes, x_weights = cosine_grid(bp.x1, bp.x2, cache.cfg.grid_size)
-    s = p.rate_sum
-    q2 = p.mu1c1 * x_nodes ** 2 - s * x_nodes + p.lambda1
-    neg_d2 = np.maximum(4.0 * p.mu2c2 * p.lambda2 * x_nodes ** 2 - q2 * q2, 0.0)
+    neg_d2 = np.maximum(-discriminants(p, x_nodes)[1], 0.0)
     # sqrt(-Delta2) vanishes like sqrt at both endpoints: cosine grid regime
     p1_vals = eval_P1(p, cache, coeffs, x_nodes)
     kern_x = kernel_value(p, x_nodes, y)

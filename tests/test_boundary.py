@@ -239,16 +239,16 @@ def test_phi1_theta_matches_the_direct_kernel_sums(params, grid, rtol):
 @pytest.mark.parametrize("params", [*CASES.values(), NEAR_CRITICAL1], ids=str)
 def test_kernel_guard_passes_the_cut(params):
     # phi1_exponent's refusal of y2 >= r2 is the only guard the theta grid
-    # needs: with z = y/r2 < 1 and x(theta) >= x(pi) = x1 > 0,
+    # needs: with z = y/r2 < 1 and x(theta) >= x1 > 0,
     # K(x(theta), y)/x(theta) = D >= lambda2 (1 - z)^2 > 0 at every node; K
-    # itself loses ~3e-13 there.  x(pi) is compared, not bp.x1: the
-    # quadratic formula of branch_points puts x1 3.4e-14 high on overload2
+    # itself loses ~3e-13 there.  bp.x1 is up to 3.4e-14 high (overload2):
+    # branch_points takes it by the quadratic formula, which cancels
     cache = boundary_cache(params)
     z = cache.y_nodes / cache.bp.r2
     assert cache.bp.y2 < cache.bp.r2 and np.all(z < 1.0)
     x = x_of_theta(params, np.linspace(0.0, math.pi,
                                        cache.cfg.grid_size + 1))[:, None]
-    assert np.all(x >= x[-1]) and x[-1] > 0.0
+    assert np.all(x >= cache.bp.x1 * (1.0 - 1e-13)) and cache.bp.x1 > 0.0
     d = kernel_value(params, x, cache.y_nodes[None, :]) / x
     assert np.min(d / (params.lambda2 * (1.0 - z) ** 2)) > 1.0 - 1e-11
 

@@ -447,10 +447,12 @@ def test_p1_one_row_equals_eval_P1_at_one(name, a):
 
 
 def test_p1_one_row_refuses_a_kernel_zero_before_phi1(monkeypatch, cache):
-    # K(1, y) = (y - 1)(mu2c2 y - lambda2) vanishes at a node moved to y = 1
+    # K(1, y) = (y - 1)(mu2c2 y - lambda2) vanishes at a node moved to y = 1;
+    # the cut moments, which phi1 on the theta grid and at 1 both follow, are
+    # never taken
     calls = []
-    monkeypatch.setattr(BoundaryCache, "phi1_many",
-                        lambda self, xs: calls.append(xs))
+    monkeypatch.setattr(solver, "cut_moments",
+                        lambda *args: calls.append(args))
     nodes = cache.y_nodes.copy()
     nodes[-1] = 1.0
     bad = dataclasses.replace(cache, y_nodes=nodes)
