@@ -29,8 +29,8 @@ from .errors import KernelZeroOnCut, NonVanishingPhase
 from .kernel import (BranchPoints, branch_points, discriminants, kernel_value,
                      y_roots)
 from .model import ModelParams
-from .quadrature import (QuadConfig, blocks, chebyshev_coefficients,
-                         cosine_grid, cut_hilbert)
+from .quadrature import (QuadConfig, chebyshev_coefficients, cosine_grid,
+                         cut_hilbert)
 
 WINDING_POINTS = 2000    # circle nodes of alpha1_winding
 
@@ -122,32 +122,26 @@ def phi1_exponent(params: ModelParams, bp: BranchPoints, nodes: np.ndarray,
             * (cut_hilbert(coef) + math.pi * regular))
 
 
-def kernel_blocks(params: ModelParams, y_nodes: np.ndarray, xs: np.ndarray):
-    """Yield (rows, K(x, y)) per row block of the (x, y) kernel matrix,
-    xs against the cut nodes, raising KernelZeroOnCut before a block in
-    which K(x, .) nearly vanishes on a node."""
-    for rows in blocks(xs.size, y_nodes.size):
-        x = xs[rows]
-        kern = kernel_value(params, x[:, None], y_nodes[None, :])
-        scale = params.rate_sum * np.maximum(1.0, np.abs(x)) ** 2
-        bad = np.min(np.abs(kern), axis=1) < 1e-12 * scale
-        if bad.any():
-            raise KernelZeroOnCut(
-                f"K({x[bad][0]}, y) vanishes on the cut [y1, y2]")
-        yield rows, kern
+def cut_kernel(params: ModelParams, y_nodes: np.ndarray, xs) -> np.ndarray:
+    """K(x, y), xs against the cut nodes, raising KernelZeroOnCut before
+    any division where K(x, .) nearly vanishes on a node."""
+    x = np.asarray(xs, dtype=float)
+    kern = kernel_value(params, x[:, None], y_nodes[None, :])
+    scale = params.rate_sum * np.maximum(1.0, np.abs(x)) ** 2
+    bad = np.min(np.abs(kern), axis=1) < 1e-12 * scale
+    if bad.any():
+        raise KernelZeroOnCut(
+            f"K({x[bad][0]}, y) vanishes on the cut [y1, y2]")
+    return kern
 
 
 def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
                 weights: np.ndarray, xs) -> np.ndarray:
     """Sum over the cut nodes y of weights / K(x, y) at each x of xs, (m,
-    len(xs)) sums for (m, n_y) weights from one pass over kernel_blocks,
-    which raises KernelZeroOnCut before it divides."""
-    xs = np.asarray(xs, dtype=float)
-    total = np.empty((*np.shape(weights)[:-1], xs.size))
-    for rows, kern in kernel_blocks(params, y_nodes, xs):
-        # a row sum per x keeps phi1 at x independent of the block x is in
-        total[..., rows] = np.sum(weights[..., None, :] / kern, axis=-1)
-    return total
+    len(xs)) sums for (m, n_y) weights, each one row sum over the matrix of
+    :func:`cut_kernel`, so that it does not depend on the other xs."""
+    return np.sum(weights[..., None, :] / cut_kernel(params, y_nodes, xs),
+                  axis=-1)
 
 
 def poisson_modes(z: np.ndarray, n: int) -> int:
@@ -177,8 +171,8 @@ class BoundaryCache:
     polynomial, w (lambda2 - mu2c2 y^2) sin(Theta1) exp(-Phi1) with w the
     grid weights; phi1_weights is w times g of :func:`phi1_exponent`, the
     integrand numerator of log phi1.  At a given x both are divided by
-    K(x, y) on the blocks of :func:`kernel_blocks`, on the theta grid taken
-    to cut moments; they are read only, as later solves share the memo.
+    K(x, y) of :func:`cut_kernel`, on the theta grid taken to cut moments;
+    they are read only, as later solves share the memo.
     """
 
     params: ModelParams

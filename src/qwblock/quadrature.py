@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import BadGridSize
 
-# Grid-sized tabulations run in blocks of this many float64 (128 KiB), which
-# stay in cache and in the allocator's free lists; whole-matrix temporaries
-# went back to the system and were page-faulted in again by every solve.
+# The oracle's level solve fills its square matrices in column blocks of this
+# many float64 (128 KiB), which stay in cache and the allocator's free lists;
+# whole-matrix temporaries were page-faulted in again by every solve.
 BLOCK_ELEMENTS = 16384
 # Spectral convergence leaves nothing to gain past this size, and far past
 # it cosine_grid's end nodes round onto the branch points.

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .boundary import (BoundaryCache, boundary_cache, cut_moments,
-                       kernel_blocks, kernel_sums, phi2, poisson_modes)
+from .boundary import (BoundaryCache, boundary_cache, cut_kernel,
+                       cut_moments, kernel_sums, phi2, poisson_modes)
 from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
                      refuse_float_errors)
 from .kernel import discriminants, kernel_value, x_of_theta, x_roots
@@ -81,11 +81,12 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     2: each entry is cut moments of cut_base z^i over that denominator
     against one FFT's sines and cosines, and log phi1(x(theta_j)) a cosine
     sum of those of phi1_weights.  Modes below e^-37 of mode 0 go, folds
-    too; D >= lambda2 (1 - z)^2 > 0 needs no kernel guard.
+    too; D >= lambda2 (1 - z)^2 > 0 needs no kernel guard, and alpha2's
+    theta weights no 1/(1 - x): x(0) = 1, queue 2 critical, is no pole.
     """
     p, a = params, params.a
     n_t, y, r2 = cache.cfg.grid_size, cache.y_nodes, cache.bp.r2
-    kern1 = next(kernel_blocks(p, y, np.ones(1)))[1][0]   # guarded K(1, y)
+    kern1 = cut_kernel(p, y, np.ones(1))[0]
     z = y / r2
     modes = poisson_modes(z, n_t)
     den = p.lambda2 * (1.0 - z) * (1.0 + z) * -np.expm1(2 * n_t * np.log(z))
@@ -110,12 +111,13 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     # common 2*mu2c2/pi^2; sin((k-1)t) = 2cos(t)sin(kt) - sin((k+1)t)
     # leaves alpha2 two sines, u*sin(k theta) + v*sin((k+1) theta)
     outer1 = w_t * x_t * phi1_t / denom_t * np.sin(theta)
-    # every sum weights the theta = 0 node by sin(0) = 0; leaving it out
-    # keeps 1/(1 - x2) away when queue 2 is critical (x2 = 1)
-    outer2 = np.divide(math.pi * w_t * x_t, (1.0 - x_t) * denom_t,
-                       out=np.zeros(n_t + 1), where=theta > 0.0)
-    u_t = outer2 * (r2 * r2 + x_t - 2.0 * r2 * np.cos(theta))
-    v_t = outer2 * r2 * (1.0 - x_t)
+    # alpha2's, pi w x (r2^2 + x - 2 r2 cos theta, r2 (1 - x))/((1 - x)
+    # denom), have a removable pole at x = 1: K(x, Y) = 0 at Y = r2 e^(i
+    # theta) and K(1, Y) = (Y - 1)(mu2c2 Y - lambda2) give 1 - x = x mu2c2
+    # |Y - 1|^2/(lambda1 - mu1c1 x), so no 1 - x is left; denom >= drift > 0
+    outer2 = math.pi * w_t / denom_t
+    u_t = outer2 * (denom_t - p.lambda2) / p.mu2c2
+    v_t = outer2 * r2 * x_t
     # s(l) = sum_j outer1_j sin(l theta_j), cu and cv likewise cosines
     spec = np.fft.fft(np.stack([outer1, u_t, v_t]), 2 * n_t)
     s, cu, cv = -spec[0].imag, spec[1].real, spec[2].real

@@ -301,7 +301,8 @@ def test_eval_P1_array_equals_per_element(cache, bvec2):
 
 
 def test_eval_P1_is_phi1_many_and_kernel_sums_bit_for_bit(cache, bvec2):
-    # eval_P1 is these two calls, over many blocks of the kernel matrix
+    # eval_P1 is these two calls: its one kernel_sums over both weights
+    # sums each row as the two single-weight calls do
     p = BASE.with_a(2)
     xs = np.linspace(-1.5, 1.2, 1001)
     y = cache.y_nodes
@@ -462,13 +463,6 @@ def test_p1_one_row_refuses_a_kernel_zero_before_phi1(monkeypatch, cache):
 
 
 @pytest.mark.parametrize("params", [
-    # x2 = 0.9999996 puts the theta sums at the near-pole of 1/(1 - x);
-    # answered at grid 512 with B1 4.5e-13 and B2 2.0e-8 from the oracle's
-    # (0.99976368, 0.14987238), and B2 3.5e-8 to 9.9e-8 off at grids 1,024
-    # to 4,096: B2 misses the atol of 1e-8
-    pytest.param(ModelParams(74.013, 0.0054066, 0.017491, 0.0045963, a=249),
-                 marks=pytest.mark.xfail(strict=True,
-                                         raises=AssertionError)),
     # r2 = 3.2e-3: r2^n and y^(n-1) underflow to 0 past n = 129, which
     # leaves columns 130.. of the boundary system all zero
     pytest.param(ModelParams(681.47, 0.0045110, 1.3621, 445.60, a=184),
@@ -482,9 +476,28 @@ def test_default_grid_refusals_that_the_oracle_answers(params):
                                atol=1e-8)
 
 
+NEAR_POLE = ModelParams(74.013, 0.0054066, 0.017491, 0.0045963, a=249)
+
+
+@pytest.fixture(scope="module")
+def near_pole_oracle():
+    return blocking_from_distribution(solve_limiting_walk(NEAR_POLE),
+                                      NEAR_POLE)
+
+
+@pytest.mark.parametrize("grid", [512, 1024, 2048, 4096])
+def test_near_pole_second_queue_matches_the_oracle(near_pole_oracle, grid):
+    # x2 = 0.9999996: theta weights that divide by 1 - x(theta) carry its
+    # rounding near theta = 0 into B2, 2.0e-8 to 9.9e-8 off the oracle's
+    # (0.99976368, 0.14987238) at these grids
+    rep = blocking(NEAR_POLE, QuadConfig(grid))
+    np.testing.assert_allclose(tuple(rep.blocking), tuple(near_pole_oracle),
+                               rtol=0, atol=1e-11)
+
+
 def test_critical_second_queue_solves():
     # lambda2 = mu2c2 puts x(0) = x2 = 1 on the first theta node, where
-    # 1/(1 - x) is infinite; sin(k * 0) = 0 weights that node out of every sum
+    # alpha2's theta weights, free of 1/(1 - x), stay finite
     p = ModelParams(1.0, 1.0, 0.5, 1.0, a=5)
     assert x_of_theta(p, np.linspace(0.0, math.pi, 513))[0] == 1.0
     mid = blocking(p)
