@@ -29,8 +29,8 @@ from .errors import KernelZeroOnCut, NonVanishingPhase
 from .kernel import (BranchPoints, branch_points, discriminants, kernel_value,
                      y_roots)
 from .model import ModelParams
-from .quadrature import (QuadConfig, chebyshev_coefficients, cosine_grid,
-                         cut_hilbert)
+from .quadrature import (QuadConfig, blocks, chebyshev_coefficients,
+                         cosine_grid, cut_hilbert)
 
 WINDING_POINTS = 2000    # circle nodes of alpha1_winding
 
@@ -139,9 +139,15 @@ def kernel_sums(params: ModelParams, y_nodes: np.ndarray,
                 weights: np.ndarray, xs) -> np.ndarray:
     """Sum over the cut nodes y of weights / K(x, y) at each x of xs, (m,
     len(xs)) sums for (m, n_y) weights, each one row sum over the matrix of
-    :func:`cut_kernel`, so that it does not depend on the other xs."""
-    return np.sum(weights[..., None, :] / cut_kernel(params, y_nodes, xs),
-                  axis=-1)
+    :func:`cut_kernel`, so that it does not depend on the other xs.  The
+    xs go in row blocks of :func:`blocks`, so that no quotient is larger
+    than BLOCK_ELEMENTS."""
+    xs = np.asarray(xs, dtype=float)
+    sums = np.empty(weights.shape[:-1] + xs.shape)
+    for rows in blocks(xs.size, weights.size):
+        sums[..., rows] = np.sum(weights[..., None, :] / cut_kernel(
+            params, y_nodes, xs[rows]), axis=-1)
+    return sums
 
 
 def poisson_modes(z: np.ndarray, n: int) -> int:

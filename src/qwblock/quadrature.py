@@ -19,8 +19,9 @@ import numpy as np
 from .errors import BadGridSize
 
 # The oracle's level solve fills its square matrices in column blocks of this
-# many float64 (128 KiB), which stay in cache and the allocator's free lists;
-# whole-matrix temporaries were page-faulted in again by every solve.
+# many float64 (128 KiB), and boundary.kernel_sums its quotients in row
+# blocks, which stay in cache and the allocator's free lists; whole-matrix
+# temporaries were page-faulted in again by every call.
 BLOCK_ELEMENTS = 16384
 # Spectral convergence leaves nothing to gain past this size, and far past
 # it cosine_grid's end nodes round onto the branch points.

@@ -22,10 +22,12 @@ from .boundary import (BoundaryCache, boundary_cache, cut_kernel,
 from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
                      refuse_float_errors)
 from .kernel import discriminants, kernel_value, x_of_theta, x_roots
-from .model import BlockingPair, ModelParams, isolated_limits, validate
+from .model import (BlockingPair, ModelParams, as_threshold,
+                    isolated_limits, validate)
 from .quadrature import QuadConfig, cosine_grid
 
 CONTOUR_POINTS = 4096    # circle nodes of the P2 contour integral
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,10 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
         return CoefficientMatrix(np.zeros((0, 1)), np.zeros(0), p1_one)
     theta = np.linspace(0.0, math.pi, n_t + 1)
     w_t = math.pi / n_t * np.concatenate([[0.5], np.ones(n_t - 1), [0.5]])
-    half_c = np.where(np.isin(np.arange(modes + 1), (0, n_t)), 0.5, 1.0)
+    half_c = np.ones(modes + 1)
+    half_c[0] = 0.5
+    if modes == n_t:
+        half_c[n_t] = 0.5
     x_t = x_of_theta(p, theta)
     phi1_t = phi1_on_theta(half_c * _folded(mu, modes, n_t, 2)[:, 1], n_t)
     denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
@@ -121,7 +126,8 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     # s(l) = sum_j outer1_j sin(l theta_j), cu and cv likewise cosines
     spec = np.fft.fft(np.stack([outer1, u_t, v_t]), 2 * n_t)
     s, cu, cv = -spec[0].imag, spec[1].real, spec[2].real
-    diff, total = cu + np.roll(cv, 1), cu + np.roll(cv, -1)   # at n -+ k
+    cv_wrap = np.concatenate([cv[-1:], cv, cv[:1]])   # [k] = cv[k - 1]
+    diff, total = cu + cv_wrap[:-2], cu + cv_wrap[2:]   # at n -+ k
     # sin(n t) cos(r t) and sin(n t) sin(k t) to single sines and cosines
     alpha = 2.0 * p.mu2c2 / math.pi ** 2 * r2_pow * (
         half_c * (_wrapped(s, a, modes + 1, 1, 1)
@@ -221,48 +227,98 @@ def eval_P2(params: ModelParams, cache: BoundaryCache,
 def solve_boundary(params: ModelParams,
                    cfg: QuadConfig | None = None,
                    cache: BoundaryCache | None = None,
-                   cm: CoefficientMatrix | None = None) -> BoundaryVector:
+                   cm: CoefficientMatrix | None = None, *,
+                   thresholds: list[int] | None = None
+                   ) -> BoundaryVector | list[BoundaryVector]:
     """Determine p(0, 0..a): seed p(0,0) = 1, solve, rescale.
 
-    The system is the leading a x (a+1) block of ``cm``, assembled at any
-    threshold >= a (by default at a).  Every pipeline quantity is linear
-    in p(0,0), so the normalization to the drift fixes the seed.
+    The system for threshold a is the leading a x (a+1) block of ``cm``,
+    assembled at any threshold >= a (by default at params.a).  Every
+    pipeline quantity is linear in p(0,0), so the normalization to the
+    drift fixes the seed.  Given ``thresholds`` (ints up to cm's, as from
+    :func:`as_threshold`), params.a is unread and their vectors return as
+    a list.  The top system is formed once, each threshold makes only its
+    two LAPACK solves, and the gate, cond, scaling and sign check run over
+    all at once.  The first threshold refused, in the order given, raises
+    its error; solving stops at an exactly singular one.
     """
     params = validate(params)
     cache = cache or boundary_cache(params, cfg or QuadConfig())
     cm = cm or assemble(params, cache)
-    a = params.a
-    # B1, B2 before scaling are c0 + c^T u, u = M^-1 rhs, (c0, c) the
-    # columns of cb.  Changes in M, rhs bounded by eps E, eps f move B
-    # by up to eps |W|^T (E|u| + f) / |B|, W = M^-T c (Higham, Accuracy
-    # and Stability of Numerical Algorithms, 2nd ed., sec. 7.2).  The
-    # gate takes E = |M|, f = |rhs|; cond, each column's largest entry,
-    # the scale at which the assembly rounds.  NaN fails the gate.
-    mat = (np.diag(cache.bp.r2 ** np.arange(a, dtype=float))
-           - cm.alpha[:a, 1:a + 1])
-    rhs = cm.beta[:a] + cm.alpha[:a, 0]
-    cb = np.stack([np.ones(a + 1), cm.p1_one[:a + 1]], axis=1)
+    ts = [params.a] if thresholds is None else thresholds
+    top = max(ts, default=0)
+    lo = sorted({0, *ts})[-2] if top else 0    # the second largest
+    # row 0 is p1_one and rows 1.. (rhs | M) of M u = rhs, so threshold
+    # a's system is the leading (a+1)-square block
+    system = np.empty((top + 1, top + 1))
+    system[0] = cm.p1_one[:top + 1]
+    np.add(cm.beta[:top], cm.alpha[:top, 0], out=system[1:, 0])
+    np.subtract(0.0, cm.alpha[:top, 1:top + 1], out=system[1:, 1:])
+    # M's diagonal, r2^n, every (top + 2)th entry from [1, 1]
+    system.reshape(-1)[top + 2::top + 2] += cache.bp.r2 ** np.arange(top)
+    finite, spoiled_from = np.isfinite(system), top + 1
+    if not finite.all():
+        # a non-finite entry at (i, j) spoils every threshold from max(i, j)
+        # on; zeroed, it leaves the others' sums over the top system finite
+        rows, cols = np.nonzero(~finite)
+        spoiled_from = np.maximum(rows, cols).min()
+        system[rows, cols] = 0.0
+    mat, rhs = system[1:, 1:], system[1:, 0]
+    # B1, B2 before scaling are c0 + c^T u, (c0, c) the columns of cb
+    cb = np.ones((top + 1, 2))
+    cb[:, 1] = system[0]
+    # per threshold only the two LAPACK solves, into rows zero past it
+    unscaled, w = np.zeros((len(ts), top + 1)), np.zeros((len(ts), top, 2))
+    unscaled[:, 0] = 1.0
+    singular = None
     try:
-        with np.errstate(all="ignore"):
-            u = np.linalg.solve(mat, rhs)
-            w = np.abs(np.linalg.solve(mat.T, cb[1:]))
-            b = np.abs(cb[0] + u @ cb[1:])
-            gate = np.max(w.T @ (np.abs(mat) @ np.abs(u) + np.abs(rhs)) / b)
-            col, f = (np.abs(mat).max(axis=0, initial=0.0),
-                      np.abs(rhs).max(initial=0.0))
-            cond = float(np.max(w.sum(axis=0) / b * (col @ np.abs(u) + f)))
+        for i, a in enumerate(ts):
+            if a:
+                unscaled[i, 1:a + 1] = np.linalg.solve(mat[:a, :a], rhs[:a])
+                w[i, :a] = np.linalg.solve(mat[:a, :a].T, cb[1:a + 1])
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"boundary system: {exc}") from None
-    if not gate * np.finfo(float).eps <= 1e-10:
-        raise SingularSystem(f"condition number of B1, B2 {gate:.3e}")
-    unscaled = np.concatenate([[1.0], u])
-    b2_raw = float(cm.p1_one[:a + 1] @ unscaled)
-    scale = params.drift / (params.lambda1 * float(unscaled.sum())
-                            + params.lambda2 * b2_raw)
-    p = scale * unscaled
-    if np.any(p < -1e-8):
-        raise NegativeProbability(f"boundary probabilities {p}")
-    return BoundaryVector(p=np.maximum(p, 0.0), cond=cond)
+        singular = SingularSystem(f"boundary system: {exc}")
+        ts, unscaled, w = ts[:i], unscaled[:i], w[:i]
+    # Changes in M, rhs bounded by eps E, eps f move B by up to eps |W|^T
+    # (E|u| + f) / |B|, W = M^-T c (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., sec. 7.2).  The gate takes E = |M|,
+    # f = |rhs|; cond, each column's largest entry, the scale at which the
+    # assembly rounds: run's row a <= lo holds those of |rhs | M|'s first a
+    # rows, and row lo + 1 of all (one max, not a running one).  NaN fails
+    # the gate.
+    abs_s, a_of = np.abs(system), np.array(ts, dtype=int)
+    run = np.zeros((lo + 2, top + 1))
+    np.maximum.accumulate(abs_s[1:lo + 1], axis=0, out=run[1:lo + 1])
+    np.maximum(run[lo], abs_s[lo + 1:].max(axis=0, initial=0.0),
+               out=run[lo + 1])
+    run = run[np.minimum(a_of, lo + 1)]
+    with np.errstate(all="ignore"):
+        u = unscaled[:, 1:]
+        abs_u, abs_wt = np.abs(u), np.abs(w).transpose(0, 2, 1)
+        b = np.abs(cb[0] + u @ cb[1:])
+        gate = ((abs_wt @ ((abs_s[1:, 1:] @ abs_u.T).T + abs_s[1:, 0])[
+            ..., None])[..., 0] / b).max(axis=1)
+        gate[a_of >= spoiled_from] = np.nan
+        cond = (abs_wt.sum(axis=2) / b * (
+            (run[:, None, 1:] @ abs_u[..., None])[:, 0] + run[:, :1])).max(
+                axis=1)
+        b2_raw = (unscaled[:, None] @ system[0, :, None])[:, 0, 0]
+        scale = params.drift / (params.lambda1 * unscaled.sum(axis=1)
+                                + params.lambda2 * b2_raw)
+        p = scale[:, None] * unscaled
+    refused = ~(gate * EPS <= 1e-10)
+    bad = refused | (p < -1e-8).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        if refused[i]:
+            raise SingularSystem(f"condition number of B1, B2 {gate[i]:.3e}")
+        raise NegativeProbability(f"boundary probabilities {p[i, :ts[i] + 1]}")
+    if singular is not None:
+        raise singular
+    p = np.maximum(p, 0.0)
+    bvecs = [BoundaryVector(p=p[i, :a + 1], cond=float(cond[i]))
+             for i, a in enumerate(ts)]
+    return bvecs if thresholds is not None else bvecs[0]
 
 
 @refuse_float_errors
@@ -270,12 +326,14 @@ def sweep(params: ModelParams, thresholds,
           cfg: QuadConfig | None = None) -> list[BlockingReport]:
     """Blocking reports at each threshold, params.a unread.  alpha_{n,k}
     and beta_n depend on n and k only, so one assembly at the largest
-    threshold serves all; the first refused threshold raises its error."""
-    p, thresholds = params, list(thresholds)
+    threshold serves all, and one :func:`solve_boundary` call solves them
+    all on it; the first refused threshold raises its error."""
+    p = params
+    thresholds = [as_threshold(a) for a in thresholds]
     top = validate(p.with_a(max(thresholds, default=0)))
     cache = boundary_cache(top, cfg)
     cm = assemble(top, cache)
-    bvecs = [solve_boundary(p.with_a(a), cfg, cache, cm) for a in thresholds]
+    bvecs = solve_boundary(top, cfg, cache, cm, thresholds=thresholds)
     pairs = [BlockingPair(float(b.p.sum()), float(cm.p1_one[:b.p.size] @ b.p))
              for b in bvecs]
     inf, a0 = isolated_limits(top), baseline_a0(top, cfg)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from qwblock import solver
 from qwblock.boundary import BoundaryCache, boundary_cache, kernel_sums
 from qwblock.errors import (KernelZeroOnCut, NonPositiveRate, OutOfRange,
                             QwblockError, SingularSystem)
-from qwblock.kernel import x_of_theta
+from qwblock.kernel import kernel_value, x_of_theta
 from qwblock.model import ModelParams
-from qwblock.quadrature import QuadConfig
+from qwblock.quadrature import QuadConfig, cosine_grid
 from qwblock.oracle import blocking_from_distribution, solve_limiting_walk
 from qwblock.solver import (BoundaryVector, assemble, baseline_a0, blocking,
                             blocking_with_estimate, eval_P1,
@@ -314,6 +315,29 @@ def test_eval_P1_is_phi1_many_and_kernel_sums_bit_for_bit(cache, bvec2):
     np.testing.assert_array_equal(eval_P1(p, cache, bvec2, xs), want)
 
 
+def test_eval_P2_sums_the_kernel_in_row_blocks():
+    # eval_P1 on all 2,048 x-cut nodes held 2 x 2,048 x 2,048 quotients,
+    # about 100 MB, when kernel_sums took every x at once; each x is a row
+    # sum of its own, so the blocks leave every value as it was
+    p, cfg = BASE.with_a(2), QuadConfig(grid_size=2048)
+    cache = boundary_cache(p, cfg)
+    bvec = solve_boundary(p, cfg, cache)
+    xs, _ = cosine_grid(cache.bp.x1, cache.bp.x2, cfg.grid_size)
+    weights = np.stack([cache.phi1_weights, cache.cut_base])
+    whole = np.sum(weights[:, None, :] / kernel_value(
+        p, xs[:, None], cache.y_nodes[None, :]), axis=-1)
+    np.testing.assert_array_equal(
+        kernel_sums(p, cache.y_nodes, weights, xs), whole)
+    eval_P2(p, cache, bvec, 0.5)
+    tracemalloc.start()
+    try:
+        eval_P2(p, cache, bvec, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_matches_per_threshold_blocking(name):
     params = CASES[name]
@@ -349,6 +373,41 @@ def test_sweep_slices_one_assembly(name):
                                    atol=2e-15 * np.max(np.abs(cm.beta)))
         np.testing.assert_allclose(top.p1_one[:a + 1], cm.p1_one,
                                    rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_is_solve_boundary_on_the_same_assembly(name):
+    # one solve_boundary call over all thresholds against one call per
+    # threshold on the same top assembly: the same LAPACK solves, and sums
+    # over zero-padded rows that round B and cond apart by a few eps
+    params = CASES[name]
+    cache = boundary_cache(params)
+    top = assemble(params.with_a(40), cache)
+    for a, rep in enumerate(sweep(params, range(41))):
+        single = solve_boundary(params.with_a(a), cache=cache, cm=top)
+        b1, b2 = single.p.sum(), top.p1_one[:a + 1] @ single.p
+        for got, want in ((rep.blocking.b1, b1), (rep.blocking.b2, b2),
+                          (rep.p00, single.p00),
+                          (rep.diagnostics["condition_estimate"],
+                           single.cond)):
+            assert abs(got - want) <= 2e-15 * abs(want)
+        assert rep.boundary.p.shape == single.p.shape
+        assert np.all(np.abs(rep.boundary.p - single.p)
+                      <= 2e-15 * np.abs(single.p))
+
+
+def test_sweep_keeps_the_order_and_repeats_of_its_thresholds():
+    reports = sweep(BASE, [10, 0, 10, 3], CFG)
+    assert [rep.boundary.p.size - 1 for rep in reports] == [10, 0, 10, 3]
+    for a, rep in zip([10, 0, 10, 3], reports):
+        single = blocking(BASE.with_a(a), CFG)
+        assert abs(rep.blocking.b1 - single.blocking.b1) <= (
+            1e-14 * single.blocking.b1)
+        assert abs(rep.blocking.b2 - single.blocking.b2) <= (
+            1e-14 * single.blocking.b2)
+    assert reports[0].blocking == reports[2].blocking
+    assert reports[0].diagnostics is not reports[2].diagnostics
+    assert sweep(BASE, [], CFG) == []
 
 
 def test_sweep_assembles_once(monkeypatch):
@@ -406,17 +465,56 @@ def test_non_finite_systems_are_refused(monkeypatch, entry):
         blocking(BASE.with_a(3), CFG)
 
 
-def test_exactly_singular_systems_are_refused(monkeypatch):
-    # alpha[0, 1] = r2^0 = 1 and zeros after it leave row 0 of M all zero
+def singular_row(row, assembled=assemble):
+    """assemble, with row ``row`` of M = diag(r2^n) - alpha[:, 1:] all zero
+    (alpha[row, row + 1] = r2^row, zeros beside it), so that every
+    threshold past ``row`` is exactly singular."""
     def singular(params, cache):
-        cm = assemble(params, cache)
+        cm = assembled(params, cache)
         alpha = cm.alpha.copy()
-        alpha[0, 1:] = np.eye(params.a)[0]
+        if row < alpha.shape[0]:
+            alpha[row, 1:] = 0.0
+            alpha[row, row + 1] = cache.bp.r2 ** row
         return dataclasses.replace(cm, alpha=alpha)
+    return singular
 
-    monkeypatch.setattr(solver, "assemble", singular)
+
+def test_exactly_singular_systems_are_refused(monkeypatch):
+    monkeypatch.setattr(solver, "assemble", singular_row(0))
     with pytest.raises(SingularSystem, match="[Ss]ingular"):
         blocking(BASE.with_a(3), CFG)
+
+
+def test_sweep_raises_the_first_refusal_in_the_order_given(monkeypatch):
+    # rhs row 5 is NaN, so 6.. fail the gate; M row 8 is zero, so 9.. are
+    # singular, and solving stops there
+    monkeypatch.setattr(solver, "assemble", singular_row(
+        8, spoil("alpha", (5, 0), math.nan)))
+    with pytest.raises(SingularSystem, match="condition number"):
+        sweep(BASE, [3, 7, 12], CFG)
+    # 3 is not refused: the NaN on the top system's row 5 reaches no sum
+    # of its block
+    with pytest.raises(SingularSystem, match="[Ss]ingular matrix"):
+        sweep(BASE, [3, 12, 7], CFG)
+
+
+def test_sweep_makes_two_solves_per_threshold(monkeypatch):
+    calls = []
+
+    def counting(mat, rhs):
+        calls.append(mat.shape[0])
+        return solve(mat, rhs)
+
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    sweep(BASE, [0, 3, 0, 5, 3], CFG)
+    assert calls == [3, 3, 5, 5, 3, 3]
+    calls.clear()
+    monkeypatch.setattr(solver, "assemble", singular_row(4))
+    with pytest.raises(SingularSystem, match="[Ss]ingular matrix"):
+        sweep(BASE, [2, 6, 3, 1], CFG)
+    # solving stops at the first LinAlgError, on 6's first solve
+    assert calls == [2, 2, 6]
 
 
 def test_sweep_takes_P1_of_one_from_one_row(monkeypatch):
