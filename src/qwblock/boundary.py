@@ -4,10 +4,12 @@ Theta1 is the half-phase of the boundary coefficient alpha1 on the circle
 of radius r1, Phi1 its Cauchy-integral companion, one sum over the
 Chebyshev coefficients of its integrand (principal value and regular
 integral alike), and phi1 the resulting sectionally analytic factor inside
-the circle, by kernel sums at any x; the coefficient assembly takes it on
-its theta grid from cut moments (:func:`cut_moments`,
-:func:`poisson_modes`).  Theta2/phi2 play the same role for the
-no-reservation (a = 0) baseline.
+the circle, by kernel sums at any x, and on the theta grid of the
+coefficient assembly a cosine sum of folded cut moments (:func:`cut_moments`,
+:func:`poisson_modes`, :func:`poisson_fold`).  Theta2/phi2 play the same
+role for the no-reservation (a = 0) baseline.  :class:`BoundaryCache`
+holds every part of the boundary system that does not depend on the
+threshold.
 
 Both Theta functions are computed with the two-argument angle of
 (denominator, sqrt(-Delta)); the printed arctan form folds the branch
@@ -23,11 +25,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
 
 from .errors import KernelZeroOnCut, NonVanishingPhase
 from .kernel import (BranchPoints, branch_points, discriminants, kernel_value,
-                     y_roots)
+                     x_of_theta, y_roots)
 from .model import ModelParams
 from .quadrature import (QuadConfig, blocks, chebyshev_coefficients,
                          cosine_grid, cut_hilbert)
@@ -161,24 +164,85 @@ def poisson_modes(z: np.ndarray, n: int) -> int:
 
 def cut_moments(weights: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
     """Sum over the cut nodes of weights (each row, if 2-D) times z^r, r =
-    0..count - 1: one matmul over y on z^(64q + j) = z^(64q) z^j, each
-    power rounded once."""
-    high = z ** (64.0 * np.arange(-(-count // 64))[:, None])
-    low = z ** np.arange(64.0)[:, None]
+    0..count - 1: one matmul over y on z^(bq + j) = z^(bq) z^j, b =
+    ceil(sqrt(count)), each power rounded once."""
+    b = math.isqrt(count - 1) + 1
+    high = z ** (float(b) * np.arange(-(-count // b)))[:, None]
+    low = z ** np.arange(float(b))[:, None]
     moments = (weights[..., None, :] * high) @ low.T
     return moments.reshape(*weights.shape[:-1], -1)[..., :count]
 
 
+def wrapped(v: np.ndarray, rows: int, cols: int, lo: int, step: int):
+    """The view M[i, j] = v[(lo + i + step j) mod v.size], step = +-1."""
+    lo = lo if step > 0 else lo - cols + 1
+    ext = v[np.arange(lo, lo + rows + cols - 1) % v.size]
+    return sliding_window_view(ext, cols)[:, ::step]
+
+
+def poisson_fold(nu: np.ndarray, modes: int, n_t: int,
+                 cols: int) -> np.ndarray:
+    """The fold c_r/2 H[r, k], H[r, k] = nu_(k-1+r) + nu_(k-1+2n-r), r =
+    0..modes, k < cols, with nu_i at nu[i + 1] and c_0 = c_n = 1, else 2;
+    the mirror only when all n modes are kept, as below mode n it is under
+    e^-37 too."""
+    fold = wrapped(nu, modes + 1, cols, 0, 1) + (
+        wrapped(nu, cols, modes + 1, 2 * n_t, -1).T if modes == n_t else 0.0)
+    fold[0] *= 0.5
+    if modes == n_t:
+        fold[n_t] *= 0.5
+    return fold
+
+
+def phi1_on_theta(half_fold: np.ndarray, n_t: int) -> np.ndarray:
+    """phi1(x(theta_j)), j = 0..n_t, from the folded moments times c_r/2:
+    exp of 2/pi times their cosine sum, one real FFT."""
+    return np.exp(2.0 * np.fft.rfft(half_fold, 2 * n_t).real / math.pi)
+
+
+def theta_sums(params: ModelParams, r2: float, phi1_t: np.ndarray):
+    """The sums (s, diff, total) over theta_j = pi j/n, j = 0..n, of the
+    boundary system's theta weights, from one FFT of length 2n: s(l) =
+    sum_j outer1_j sin(l theta_j), and diff[k], total[k] = cu(k) + cv(k -+
+    1), the cosine sums of alpha2's two weights u and v.  Those weights
+    need no 1/(1 - x): x(0) = 1, queue 2 critical, is no pole."""
+    p, n_t = params, phi1_t.size - 1
+    theta = np.linspace(0.0, math.pi, n_t + 1)
+    w_t = math.pi / n_t * np.concatenate([[0.5], np.ones(n_t - 1), [0.5]])
+    x_t = x_of_theta(p, theta)
+    denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
+    # theta weights of alpha1 and beta, and of alpha2 relative to their
+    # common 2*mu2c2/pi^2; sin((k-1)t) = 2cos(t)sin(kt) - sin((k+1)t)
+    # leaves alpha2 two sines, u*sin(k theta) + v*sin((k+1) theta)
+    outer1 = w_t * x_t * phi1_t / denom_t * np.sin(theta)
+    # alpha2's, pi w x (r2^2 + x - 2 r2 cos theta, r2 (1 - x))/((1 - x)
+    # denom), have a removable pole at x = 1: K(x, Y) = 0 at Y = r2 e^(i
+    # theta) and K(1, Y) = (Y - 1)(mu2c2 Y - lambda2) give 1 - x = x mu2c2
+    # |Y - 1|^2/(lambda1 - mu1c1 x), so no 1 - x is left; denom >= drift > 0
+    outer2 = math.pi * w_t / denom_t
+    u_t = outer2 * (denom_t - p.lambda2) / p.mu2c2
+    v_t = outer2 * r2 * x_t
+    spec = np.fft.fft(np.stack([outer1, u_t, v_t]), 2 * n_t)
+    s, cu, cv = -spec[0].imag, spec[1].real, spec[2].real
+    cv_wrap = np.concatenate([cv[-1:], cv, cv[:1]])   # [k] = cv[k - 1]
+    return s, cu + cv_wrap[:-2], cu + cv_wrap[2:]   # at n -+ k
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryCache:
-    """Tabulated boundary data on a shared cosine grid over [y1, y2].
+    """Tabulated boundary data on a shared cosine grid over [y1, y2], and
+    every part of the boundary system that does not depend on a.
 
     cut_base is the one weight of every cut integral against the boundary
     polynomial, w (lambda2 - mu2c2 y^2) sin(Theta1) exp(-Phi1) with w the
     grid weights; phi1_weights is w times g of :func:`phi1_exponent`, the
     integrand numerator of log phi1.  At a given x both are divided by
-    K(x, y) of :func:`cut_kernel`, on the theta grid taken to cut moments;
-    they are read only, as later solves share the memo.
+    K(x, y) of :func:`cut_kernel`.  nu_head holds the moments nu_i of
+    cut_base z^(i-1)/(lambda2 (1 - z^2)(1 - z^(2n))), z = y/r2, for i <
+    2n + 2 when all n modes are kept, else modes + 2, and nu_tail the
+    weights whose moments carry on from there; s, diff and total are
+    :func:`theta_sums`, and phi2_one is phi2(1).  The arrays are read
+    only, as later solves share the memo.
     """
 
     params: ModelParams
@@ -187,23 +251,47 @@ class BoundaryCache:
     y_nodes: np.ndarray = field(repr=False)
     cut_base: np.ndarray = field(repr=False)
     phi1_weights: np.ndarray = field(repr=False)
+    modes: int
+    nu_head: np.ndarray = field(repr=False)
+    nu_tail: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)
+    diff: np.ndarray = field(repr=False)
+    total: np.ndarray = field(repr=False)
+    phi2_one: float
 
     @classmethod
     def build(cls, params: ModelParams,
               cfg: QuadConfig | None = None) -> "BoundaryCache":
         cfg = cfg or QuadConfig()
-        bp = branch_points(params)
-        nodes, weights = cosine_grid(bp.y1, bp.y2, cfg.grid_size)
+        n_t, bp = cfg.grid_size, branch_points(params)
+        nodes, weights = cosine_grid(bp.y1, bp.y2, n_t)
         th1 = theta1(params, nodes)
         g = (params.lambda2 - params.mu2c2 * nodes ** 2) * th1 / nodes
         phi_big = phi1_exponent(params, bp, nodes, g)
         phi1_weights = weights * g
         cut_base = (weights * (params.lambda2 - params.mu2c2 * nodes * nodes)
                     * np.sin(th1) * np.exp(-phi_big))
-        for table in (nodes, cut_base, phi1_weights):
+        z = nodes / bp.r2
+        modes = poisson_modes(z, n_t)
+        head = 2 * n_t + 2 if modes == n_t else modes + 2
+        den = (params.lambda2 * (1.0 - z) * (1.0 + z)
+               * -np.expm1(2 * n_t * np.log(z)))
+        # moment i + 1 is of z^i: cut_base/den and phi1_weights/den; D >=
+        # lambda2 (1 - z)^2 > 0 needs no kernel guard
+        nu_weights = cut_base / z / den
+        nu_head, mu = cut_moments(np.stack([
+            nu_weights, phi1_weights / z / den]), z, head)
+        phi1_t = phi1_on_theta(poisson_fold(mu, modes, n_t, 2)[:, 1], n_t)
+        s, diff, total = theta_sums(params, bp.r2, phi1_t)
+        # nu_head a copy, not a view that keeps mu's moments too
+        tables = dict(y_nodes=nodes, cut_base=cut_base,
+                      phi1_weights=phi1_weights, nu_head=nu_head.copy(),
+                      nu_tail=nu_weights * z ** head, s=s, diff=diff,
+                      total=total)
+        for table in tables.values():
             table.flags.writeable = False
-        return cls(params=params, bp=bp, cfg=cfg, y_nodes=nodes,
-                   cut_base=cut_base, phi1_weights=phi1_weights)
+        return cls(params=params, bp=bp, cfg=cfg, modes=modes,
+                   phi2_one=phi2(params, 1.0, bp, cfg), **tables)
 
     def phi1(self, x) -> float:
         """The sectionally analytic factor phi1(x), |x| < r1; phi1(0) = 1."""

@@ -56,10 +56,14 @@ class BranchPoints:
 
 
 def kernel_value(params: ModelParams, x, y):
-    """The kernel K(x, y); vanishes on the zero pairs coupling the walk."""
-    s = params.rate_sum
-    return (params.mu1c1 * x * x * y + params.mu2c2 * x * y * y
-            - s * x * y + params.lambda1 * y + params.lambda2 * x)
+    """The kernel K(x, y) = mu1c1 x^2 y + mu2c2 x y^2 - rate_sum x y +
+    lambda1 y + lambda2 x; vanishes on the zero pairs coupling the walk.
+    It is formed as the same polynomial x (y - 1)(mu2c2 y - lambda2) + y (x
+    - 1)(mu1c1 x - lambda1), one product at x = 1 or y = 1: as both queues
+    near critical, the expanded sum cancels, by up to 3e7 near x2 on
+    (1.001, 1, 1, 1), where it puts K(1, y) 1.6e-9 relative off."""
+    return (x * (y - 1.0) * (params.mu2c2 * y - params.lambda2)
+            + y * (x - 1.0) * (params.mu1c1 * x - params.lambda1))
 
 
 def discriminants(params: ModelParams, z):

@@ -4,9 +4,9 @@ The reservation threshold makes the boundary unknown a polynomial with
 coefficients p(0,0..a).  Seeded with p(0,0) = 1, the rest solve a dense
 a-by-a system of double sums over a theta grid and the cut grid: the
 kernel's Poisson series folded mod 2n is exact on theta_j = pi j/n, so
-each is cut moments times FFT sums, and phi1 on that grid a cosine sum of
-the same fold.  Linearity in the seed lets the vector be rescaled once so
-that rate conservation holds exactly.
+each is cut moments times FFT sums, of which the boundary cache holds all
+that does not depend on a.  Linearity in the seed lets the vector be
+rescaled once so that rate conservation holds exactly.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .boundary import (BoundaryCache, boundary_cache, cut_kernel,
-                       cut_moments, kernel_sums, phi2, poisson_modes)
+                       cut_moments, kernel_sums, phi2, poisson_fold, wrapped)
 from .errors import (KernelZeroOnCut, NegativeProbability, SingularSystem,
                      refuse_float_errors)
-from .kernel import discriminants, kernel_value, x_of_theta, x_roots
+from .kernel import discriminants, kernel_value, x_roots
 from .model import (BlockingPair, ModelParams, as_threshold,
                     isolated_limits, validate)
 from .quadrature import QuadConfig, cosine_grid
@@ -81,84 +80,35 @@ def assemble(params: ModelParams, cache: BoundaryCache) -> CoefficientMatrix:
     z = y/r2 < 1, folds exactly to sum_{r=0..n} c_r (z^r + z^(2n-r))
     cos(r theta_j) / (lambda2 (1 - z^2)(1 - z^(2n))), c_0 = c_n = 1, else
     2: each entry is cut moments of cut_base z^i over that denominator
-    against one FFT's sines and cosines, and log phi1(x(theta_j)) a cosine
-    sum of those of phi1_weights.  Modes below e^-37 of mode 0 go, folds
-    too; D >= lambda2 (1 - z)^2 > 0 needs no kernel guard, and alpha2's
-    theta weights no 1/(1 - x): x(0) = 1, queue 2 critical, is no pole.
+    against one FFT's sines and cosines.  The cache holds the FFT sums and
+    the moments in nu_head; here come the a + 1 moments past them, and
+    those of cut_base/K(1, y) for p1_one.  Modes below e^-37 of mode 0
+    go, folds too.
     """
     p, a = params, params.a
     n_t, y, r2 = cache.cfg.grid_size, cache.y_nodes, cache.bp.r2
     kern1 = cut_kernel(p, y, np.ones(1))[0]
     z = y / r2
-    modes = poisson_modes(z, n_t)
-    den = p.lambda2 * (1.0 - z) * (1.0 + z) * -np.expm1(2 * n_t * np.log(z))
-    # moment i + 1 is of z^i: cut_base/den, cut_base/K(1, y), phi1_weights/den
-    base = cache.cut_base / z
-    nu, m1, mu = cut_moments(np.stack([
-        base / den, base / kern1, cache.phi1_weights / z / den]), z,
-        a + 1 + (2 * n_t if modes == n_t else modes))
+    # moment i + 1 of the second row is of cut_base z^i/K(1, y)
+    tail, m1 = cut_moments(np.stack([cache.nu_tail, cache.cut_base / z
+                                     / kern1]), z, a + 1)
     r2_pow = r2 ** (np.arange(a + 1) - 1.0)
     p1_one = cache.phi1_from_sums(1.0, np.sum(cache.phi1_weights / kern1)) * (
         np.eye(1, a + 1)[0]
-        + p.lambda1 / (p.lambda2 * math.pi) * r2_pow * m1[:a + 1])
+        + p.lambda1 / (p.lambda2 * math.pi) * r2_pow * m1)
     if a == 0:
         return CoefficientMatrix(np.zeros((0, 1)), np.zeros(0), p1_one)
-    theta = np.linspace(0.0, math.pi, n_t + 1)
-    w_t = math.pi / n_t * np.concatenate([[0.5], np.ones(n_t - 1), [0.5]])
-    half_c = np.ones(modes + 1)
-    half_c[0] = 0.5
-    if modes == n_t:
-        half_c[n_t] = 0.5
-    x_t = x_of_theta(p, theta)
-    phi1_t = phi1_on_theta(half_c * _folded(mu, modes, n_t, 2)[:, 1], n_t)
-    denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
-    # theta weights of alpha1 and beta, and of alpha2 relative to their
-    # common 2*mu2c2/pi^2; sin((k-1)t) = 2cos(t)sin(kt) - sin((k+1)t)
-    # leaves alpha2 two sines, u*sin(k theta) + v*sin((k+1) theta)
-    outer1 = w_t * x_t * phi1_t / denom_t * np.sin(theta)
-    # alpha2's, pi w x (r2^2 + x - 2 r2 cos theta, r2 (1 - x))/((1 - x)
-    # denom), have a removable pole at x = 1: K(x, Y) = 0 at Y = r2 e^(i
-    # theta) and K(1, Y) = (Y - 1)(mu2c2 Y - lambda2) give 1 - x = x mu2c2
-    # |Y - 1|^2/(lambda1 - mu1c1 x), so no 1 - x is left; denom >= drift > 0
-    outer2 = math.pi * w_t / denom_t
-    u_t = outer2 * (denom_t - p.lambda2) / p.mu2c2
-    v_t = outer2 * r2 * x_t
-    # s(l) = sum_j outer1_j sin(l theta_j), cu and cv likewise cosines
-    spec = np.fft.fft(np.stack([outer1, u_t, v_t]), 2 * n_t)
-    s, cu, cv = -spec[0].imag, spec[1].real, spec[2].real
-    cv_wrap = np.concatenate([cv[-1:], cv, cv[:1]])   # [k] = cv[k - 1]
-    diff, total = cu + cv_wrap[:-2], cu + cv_wrap[2:]   # at n -+ k
+    nu = np.concatenate([cache.nu_head, tail])
+    modes, s = cache.modes, cache.s
     # sin(n t) cos(r t) and sin(n t) sin(k t) to single sines and cosines
     alpha = 2.0 * p.mu2c2 / math.pi ** 2 * r2_pow * (
-        half_c * (_wrapped(s, a, modes + 1, 1, 1)
-                  + _wrapped(s, a, modes + 1, 1, -1))
-        @ _folded(nu, modes, n_t, a + 1)
-        + 0.5 * (_wrapped(diff, a, a + 1, 1, -1)
-                 - _wrapped(total, a, a + 1, 1, 1)))
+        (wrapped(s, a, modes + 1, 1, 1) + wrapped(s, a, modes + 1, 1, -1))
+        @ poisson_fold(nu, modes, n_t, a + 1)
+        + 0.5 * (wrapped(cache.diff, a, a + 1, 1, -1)
+                 - wrapped(cache.total, a, a + 1, 1, 1)))
     beta = (2.0 * p.mu2c2 * p.lambda2 / (p.lambda1 * math.pi)
-            * _wrapped(s, a, 1, 1, 1)[:, 0])
+            * wrapped(s, a, 1, 1, 1)[:, 0])
     return CoefficientMatrix(alpha, beta, p1_one)
-
-
-def phi1_on_theta(half_fold: np.ndarray, n_t: int) -> np.ndarray:
-    """phi1(x(theta_j)), j = 0..n_t, from the folded moments times c_r/2:
-    exp of 2/pi times their cosine sum, one real FFT."""
-    return np.exp(2.0 * np.fft.rfft(half_fold, 2 * n_t).real / math.pi)
-
-
-def _folded(nu: np.ndarray, modes: int, n_t: int, cols: int) -> np.ndarray:
-    """The fold H[r, k] = nu_(k-1+r) + nu_(k-1+2n-r), r = 0..modes, k <
-    cols, with nu_i at nu[i + 1]; the mirror only when all n modes are
-    kept, as below mode n it is under e^-37 too."""
-    return _wrapped(nu, modes + 1, cols, 0, 1) + (
-        _wrapped(nu, cols, modes + 1, 2 * n_t, -1).T if modes == n_t else 0.0)
-
-
-def _wrapped(v: np.ndarray, rows: int, cols: int, lo: int, step: int):
-    """The view M[i, j] = v[(lo + i + step j) mod v.size], step = +-1."""
-    lo = lo if step > 0 else lo - cols + 1
-    ext = v[np.arange(lo, lo + rows + cols - 1) % v.size]
-    return sliding_window_view(ext, cols)[:, ::step]
 
 
 def eval_P1(params: ModelParams, cache: BoundaryCache,
@@ -336,7 +286,7 @@ def sweep(params: ModelParams, thresholds,
     bvecs = solve_boundary(top, cfg, cache, cm, thresholds=thresholds)
     pairs = [BlockingPair(float(b.p.sum()), float(cm.p1_one[:b.p.size] @ b.p))
              for b in bvecs]
-    inf, a0 = isolated_limits(top), baseline_a0(top, cfg)
+    inf, a0 = isolated_limits(top), _baseline_pair(top, cache.phi2_one)
     return [BlockingReport(
         blocking=pair, p00=bvec.p00, boundary=bvec, baseline_inf=inf,
         baseline_a0=a0, normalization_residual=abs(
@@ -372,7 +322,11 @@ def baseline_a0(params: ModelParams,
                 cfg: QuadConfig | None = None) -> BlockingPair:
     """No-reservation baseline (a = 0) in closed form via phi2(1)."""
     validate(params.with_a(0))
-    phi2_1 = phi2(params, 1.0, cfg=cfg)
+    return _baseline_pair(params, phi2(params, 1.0, cfg=cfg))
+
+
+def _baseline_pair(params: ModelParams, phi2_1: float) -> BlockingPair:
+    """(B1, B2) at a = 0 from phi2(1)."""
     if params.lambda2 > params.mu2c2:
         p00 = (params.lambda1 - params.mu1c1) / (params.lambda1 * phi2_1)
     else:

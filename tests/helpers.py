@@ -5,8 +5,9 @@ chebyshev_u evaluates the Chebyshev polynomials of the second kind that
 the principal-value transform is checked against, dense_coefficients
 forms the boundary system's theta sums node by node,
 assembled_phi1 catches phi1 on the theta grid on its way into the
-coefficient assembly, x_of_theta_long_double and phi1_theta_long_double
-give x(theta) and phi1's cut integral on that grid in long double, and
+boundary cache's theta sums, x_of_theta_long_double and
+phi1_theta_long_double give x(theta) and phi1's cut integral on that grid
+in long double, and
 phi1_exponent_long_double sums Phi1's regular integral densely in long
 double.
 """
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 
-from qwblock import solver
+from qwblock import boundary
 from qwblock.boundary import phi1_exponent, theta1
 from qwblock.kernel import BranchPoints, branch_points, x_of_theta
 from qwblock.model import ModelParams
@@ -89,18 +90,20 @@ def dense_coefficients(p, cache, n_t):
     return alpha1 + alpha2, beta
 
 
-def assembled_phi1(params: ModelParams, cache):
-    """phi1(x(theta_j)), j = 0..n, as qwblock.solver.assemble computes it
-    from the folded cut moments: the value phi1_on_theta returns to it."""
-    real, seen = solver.phi1_on_theta, []
+def assembled_phi1(params: ModelParams, cfg):
+    """A BoundaryCache built at cfg, and phi1(x(theta_j)), j = 0..n, as its
+    build computes it from the folded cut moments: the value phi1_on_theta
+    returns to it, which the build must ask for exactly once."""
+    real, seen = boundary.phi1_on_theta, []
 
     def spy(*args):
         seen.append(real(*args))
         return seen[-1]
 
-    with mock.patch.object(solver, "phi1_on_theta", spy):
-        solver.assemble(params.with_a(1), cache)
-    return seen[0]
+    with mock.patch.object(boundary, "phi1_on_theta", spy):
+        cache = boundary.BoundaryCache.build(params, cfg)
+    assert len(seen) == 1
+    return cache, seen[0]
 
 
 def x_of_theta_long_double(params: ModelParams, n: int):

@@ -200,40 +200,57 @@ def test_phi1_many_rejects_each_kernel_zero(cache64):
     assert bad.phi1_many([0.25])[0] > 0.0
 
 
+ARRAY_FIELDS = ("y_nodes", "cut_base", "phi1_weights", "nu_head", "nu_tail",
+                "s", "diff", "total")
+
+
 def test_boundary_cache_is_a_frozen_value():
     # the memoized value is shared by every later solve of these rates
     cache = boundary_cache(BASE, QuadConfig(grid_size=64))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cache.bp = None
-    for name in ("y_nodes", "cut_base", "phi1_weights"):
+    for name in ARRAY_FIELDS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(cache, name)[0] *= 2.0
     with pytest.raises(ValueError, match="read-only"):
         cache.cut_base *= 2.0
     assert [f.name for f in dataclasses.fields(cache)] == [
-        "params", "bp", "cfg", "y_nodes", "cut_base", "phi1_weights"]
+        "params", "bp", "cfg", "y_nodes", "cut_base", "phi1_weights", "modes",
+        "nu_head", "nu_tail", "s", "diff", "total", "phi2_one"]
+    assert cache.phi2_one == phi2(BASE, 1.0, cache.bp, cache.cfg)
+
+
+@pytest.mark.parametrize("params", [*CASES.values(), NEAR_CRITICAL1], ids=str)
+def test_boundary_cache_arrays_fit_their_byte_bound(params):
+    # 3 * 2n doubles of theta sums, the nu head and one more row of cut
+    # weights past the three cut tables: 37 KB at grid 512
+    cache = boundary_cache(params)
+    n, n_y = cache.cfg.grid_size, cache.y_nodes.size
+    head = 2 * n + 2 if cache.modes == n else cache.modes + 2
+    assert cache.nu_head.shape == (head,)
+    tables = [getattr(cache, name) for name in ARRAY_FIELDS]
+    # each owns its memory, so that nbytes is what it keeps alive
+    assert all(t.base is None and t.dtype == float for t in tables)
+    assert sum(t.nbytes for t in tables) <= 8 * (3 * 2 * n + head + 4 * n_y)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="long double is no wider than double here")
 @pytest.mark.parametrize("params, grid, rtol", [
     *((p, 512, 1e-13) for p in (*CASES.values(), NEAR_CRITICAL1)),
-    *((p, grid, None if p == DOUBLY_NEAR_CRITICAL[0] else 1e-11)
+    *((p, grid, 2.5e-13 if p == DOUBLY_NEAR_CRITICAL[0] else 5e-14)
       for p in DOUBLY_NEAR_CRITICAL for grid in (512, 2048)),
     (ModelParams(0.5625, 2.0, 0.546875, 2.0), 64, 1e-13),
 ], ids=str)
 def test_phi1_theta_matches_the_direct_kernel_sums(params, grid, rtol):
     # the reference takes x(theta) and K in long double, with no Poisson
-    # fold; phi1_many at the double x(theta) is compared at rtol, and not
-    # at all on (1.001, 1, 1, 1), where it is up to 2.5e-10 off near x2
-    cache = BoundaryCache.build(params, QuadConfig(grid))
-    phi1_t = assembled_phi1(params, cache)
-    np.testing.assert_allclose(phi1_t, phi1_theta_long_double(cache),
-                               rtol=1e-13, atol=0)
-    if rtol is not None:
-        x_t = x_of_theta(params, np.linspace(0.0, math.pi, grid + 1))
-        np.testing.assert_allclose(phi1_t, cache.phi1_many(x_t), rtol=rtol,
-                                   atol=0)
+    # fold; phi1_many at the double x(theta) is compared at rtol, looser on
+    # (1.001, 1, 1, 1), where phi1 is steepest near x2
+    cache, phi1_t = assembled_phi1(params, QuadConfig(grid))
+    want = phi1_theta_long_double(cache)
+    np.testing.assert_allclose(phi1_t, want, rtol=1e-13, atol=0)
+    x_t = x_of_theta(params, np.linspace(0.0, math.pi, grid + 1))
+    np.testing.assert_allclose(cache.phi1_many(x_t), want, rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("params", [*CASES.values(), NEAR_CRITICAL1], ids=str)
@@ -241,7 +258,7 @@ def test_kernel_guard_passes_the_cut(params):
     # phi1_exponent's refusal of y2 >= r2 is the only guard the theta grid
     # needs: with z = y/r2 < 1 and x(theta) >= x1 > 0,
     # K(x(theta), y)/x(theta) = D >= lambda2 (1 - z)^2 > 0 at every node; K
-    # itself loses ~3e-13 there.  bp.x1 is up to 3.4e-14 high (overload2):
+    # itself is within 4e-15 there.  bp.x1 is up to 3.4e-14 high (overload2):
     # branch_points takes it by the quadratic formula, which cancels
     cache = boundary_cache(params)
     z = cache.y_nodes / cache.bp.r2
@@ -253,8 +270,10 @@ def test_kernel_guard_passes_the_cut(params):
     assert np.min(d / (params.lambda2 * (1.0 - z) ** 2)) > 1.0 - 1e-11
 
 
-@pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("count", [1, 4, 5, 63, 64, 65, 129, 1025, 1026])
 def test_cut_moments_are_the_power_sums(cache64, count):
+    # powers in blocks of b = ceil(sqrt(count)): b steps up past 4 = 2^2
+    # and 1,024 = 32^2, and the last block is cut at 5, 1,025 and 1,026
     z = cache64.y_nodes / cache64.bp.r2
     w = np.stack([cache64.phi1_weights, cache64.cut_base])
     powers = z[:, None] ** np.arange(count)

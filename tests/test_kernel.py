@@ -15,12 +15,41 @@ from conftest import (BASE, CASES, DOUBLY_NEAR_CRITICAL, NEAR_CRITICAL1,
 from helpers import chebyshev_u, theta2_of_x, x_of_theta_long_double
 
 
-def test_kernel_value_closed_form():
-    p = BASE
-    x, y = 0.7, 1.3
-    expected = (p.mu1c1 * x * x * y + p.mu2c2 * x * y * y
-                - p.rate_sum * x * y + p.lambda1 * y + p.lambda2 * x)
-    assert kernel_value(p, x, y) == expected
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("p", [*CASES.values(), NEAR_CRITICAL1,
+                               *DOUBLY_NEAR_CRITICAL], ids=str)
+def test_kernel_value_matches_the_long_double_sum(p):
+    # the expanded sum mu1c1 x^2 y + mu2c2 x y^2 - rate_sum x y + lambda1 y
+    # + lambda2 x in long double, on the theta-grid x against the cut
+    # nodes; it cancels to x D near x2, by up to 3e7 on (1.001, 1, 1, 1),
+    # so its own error is eps_ld times its terms' absolute sum.  In these
+    # units kernel_value is at most 5.2 off, and the expanded sum in double
+    # 56 to 1,060 on the near-critical sets
+    bp = branch_points(p)
+    y, _ = cosine_grid(bp.y1, bp.y2, 256)
+    x = x_of_theta(p, np.linspace(0.0, math.pi, 257))[:, None]
+    ld = np.longdouble
+    lam1, lam2, mu1, mu2 = map(ld, (p.lambda1, p.lambda2, p.mu1c1, p.mu2c2))
+    xl, yl = x.astype(ld), y.astype(ld)
+    terms = (mu1 * xl * xl * yl, mu2 * xl * yl * yl,
+             -(lam1 + lam2 + mu1 + mu2) * xl * yl, lam1 * yl, lam2 * xl)
+    want, size = sum(terms), sum(abs(t) for t in terms)
+    err = np.abs(kernel_value(p, x, y) - want)
+    assert np.all(err <= 8.0 * (np.finfo(float).eps * np.abs(want)
+                                + np.finfo(ld).eps * size))
+
+
+@pytest.mark.parametrize("p", [BASE, UNDERLOAD2, *DOUBLY_NEAR_CRITICAL],
+                         ids=str)
+def test_kernel_value_is_one_product_on_either_unit_line(p):
+    # K(1, y) = (y - 1)(mu2c2 y - lambda2) and K(x, 1) = (x - 1)(mu1c1 x -
+    # lambda1), each rounded as that one product
+    t = np.linspace(0.0, 2.0, 41)
+    assert np.array_equal(kernel_value(p, 1.0, t),
+                          (t - 1.0) * (p.mu2c2 * t - p.lambda2))
+    assert np.array_equal(kernel_value(p, t, 1.0),
+                          (t - 1.0) * (p.mu1c1 * t - p.lambda1))
 
 
 def test_discriminants_negative_inside_cuts():

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qwblock import solver
-from qwblock.boundary import BoundaryCache, boundary_cache, kernel_sums
+from qwblock import boundary, solver
+from qwblock.boundary import (BoundaryCache, _cached_build, boundary_cache,
+                              kernel_sums)
 from qwblock.errors import (KernelZeroOnCut, NonPositiveRate, OutOfRange,
                             QwblockError, SingularSystem)
 from qwblock.kernel import kernel_value, x_of_theta
@@ -143,18 +144,27 @@ def _stable_draws(count, seed):
 def test_interpolated_phi1_solves_like_the_direct_tabulation(params,
                                                             monkeypatch):
     # phi1 on the theta grid comes from the folded Poisson moments; the
-    # same systems solved on the direct kernel sums give the same B
+    # same systems solved on the direct kernel sums give the same B.  The
+    # build reads phi1 on the theta grid, so the direct one goes into a
+    # cache built under the patch, and the patch must be reached
     def b1_b2(cache):
         cm = assemble(params, cache)
         bvec = solve_boundary(params, cache=cache, cm=cm)
         return np.array([bvec.p.sum(), cm.p1_one @ bvec.p])
 
     cache = boundary_cache(params)
-    folded = b1_b2(cache)
-    monkeypatch.setattr(solver, "phi1_on_theta", lambda half_fold, n_t: (
-        cache.phi1_many(x_of_theta(params, np.linspace(0.0, math.pi,
-                                                       n_t + 1)))))
-    np.testing.assert_allclose(folded, b1_b2(cache), rtol=0, atol=1e-14)
+    calls = []
+
+    def direct(half_fold, n_t):
+        calls.append(n_t)
+        return cache.phi1_many(x_of_theta(params, np.linspace(
+            0.0, math.pi, n_t + 1)))
+
+    monkeypatch.setattr(boundary, "phi1_on_theta", direct)
+    tabulated = BoundaryCache.build(params)
+    assert calls == [tabulated.cfg.grid_size]
+    np.testing.assert_allclose(b1_b2(cache), b1_b2(tabulated), rtol=0,
+                               atol=1e-14)
 
 
 @pytest.mark.parametrize("params", [
@@ -424,6 +434,42 @@ def test_sweep_assembles_once(monkeypatch):
     assert calls == [12, 5]
     sweep(UNDERLOAD2, [0], CFG)
     assert calls == [12, 5, 0]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_warm_blocking_is_the_cold_one_bit_for_bit(name):
+    params = CASES[name]
+    blocking(params.with_a(3))
+    warm = blocking(params.with_a(17)).to_dict()
+    _cached_build.cache_clear()
+    assert blocking(params.with_a(17)).to_dict() == warm
+
+
+def test_warm_solves_redo_no_threshold_free_work(monkeypatch):
+    # x(theta), phi1 on the theta grid, the FFT and phi2(1) are built once
+    # per rate set; a warm solve makes one cut_moments call, at a + 1
+    calls, counts = [], []
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    blocking(UNDERLOAD2.with_a(4), CFG)
+    for owner, name in ((boundary, "x_of_theta"), (boundary, "phi2"),
+                        (solver, "phi2"), (np.fft, "fft"), (np.fft, "rfft")):
+        counting(owner, name)
+    monkeypatch.setattr(solver, "cut_moments", lambda w, z, count: (
+        counts.append(count) or boundary.cut_moments(w, z, count)))
+    blocking(UNDERLOAD2.with_a(9), CFG)
+    sweep(UNDERLOAD2, range(12), CFG)
+    assert calls == [] and counts == [10, 12]
+    # and the spies see the build's
+    BoundaryCache.build(UNDERLOAD2, CFG)
+    assert {"x_of_theta", "phi2", "fft", "rfft"} <= set(calls)
 
 
 def spoil(field, index, value):
