@@ -28,7 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
 
-from .errors import KernelZeroOnCut, NonVanishingPhase
+from .errors import (DegenerateBranchPoints, KernelZeroOnCut,
+                     NonVanishingPhase)
 from .kernel import (BranchPoints, branch_points, discriminants, kernel_value,
                      x_of_theta, y_roots)
 from .model import ModelParams
@@ -40,28 +41,26 @@ WINDING_POINTS = 2000    # circle nodes of alpha1_winding
 
 def theta1(params: ModelParams, y):
     """Boundary angle Theta1(y) in [0, pi] for y in the cut [y1, y2]."""
-    y = np.asarray(y, dtype=float)
-    s = params.rate_sum
-    d1, _ = discriminants(params, y)
-    if np.any(d1 > 1e-9 * s * s):
-        raise ValueError("y outside the cut [y1, y2]: Delta1(y) > 0")
-    num = np.sqrt(np.maximum(-d1, 0.0))
-    den = params.mu2c2 * y * y - s * y + params.lambda2 + 2.0 * params.lambda1
-    out = np.arctan2(num, den)
-    return out if out.ndim else float(out)
+    p = params
+    return _cut_angle(p, y, 0, lambda y: p.mu2c2 * y * y - p.rate_sum * y
+                      + p.lambda2 + 2.0 * p.lambda1)
 
 
 def theta2(params: ModelParams, x):
     """Baseline boundary angle Theta2(x) in [0, pi] for x in [x1, x2]."""
-    x = np.asarray(x, dtype=float)
-    s = params.rate_sum
-    _, d2 = discriminants(params, x)
-    if np.any(d2 > 1e-9 * s * s):
-        raise ValueError("x outside the cut [x1, x2]: Delta2(x) > 0")
-    num = np.sqrt(np.maximum(-d2, 0.0))
-    den = ((x + 1.0) * (params.lambda1 - x * params.mu1c1)
-           + x * (params.lambda2 - params.mu2c2))
-    out = np.arctan2(num, den)
+    p = params
+    return _cut_angle(p, x, 1, lambda x: (x + 1.0) * (p.lambda1 - x * p.mu1c1)
+                      + x * (p.lambda2 - p.mu2c2))
+
+
+def _cut_angle(params: ModelParams, z, which: int, den):
+    """atan2(sqrt(-Delta), den(z)) at z on the cut of Delta, discriminant
+    ``which`` (0: Delta1 on [y1, y2], 1: Delta2 on [x1, x2])."""
+    z, s = np.asarray(z, dtype=float), params.rate_sum
+    d = discriminants(params, z)[which]
+    if np.any(d > 1e-9 * s * s):
+        raise ValueError(f"{'yx'[which]} outside the cut: Delta{which + 1} > 0")
+    out = np.arctan2(np.sqrt(np.maximum(-d, 0.0)), den(z))
     return out if out.ndim else float(out)
 
 
@@ -265,6 +264,9 @@ class BoundaryCache:
         cfg = cfg or QuadConfig()
         n_t, bp = cfg.grid_size, branch_points(params)
         nodes, weights = cosine_grid(bp.y1, bp.y2, n_t)
+        if not np.all((nodes > bp.y1) & (nodes < bp.y2)):
+            raise DegenerateBranchPoints(
+                f"cut [{bp.y1}, {bp.y2}] too narrow for {n_t} nodes")
         th1 = theta1(params, nodes)
         g = (params.lambda2 - params.mu2c2 * nodes ** 2) * th1 / nodes
         phi_big = phi1_exponent(params, bp, nodes, g)
@@ -293,14 +295,14 @@ class BoundaryCache:
         return cls(params=params, bp=bp, cfg=cfg, modes=modes,
                    phi2_one=phi2(params, 1.0, bp, cfg), **tables)
 
-    def phi1(self, x) -> float:
-        """The sectionally analytic factor phi1(x), |x| < r1; phi1(0) = 1."""
-        return float(self.phi1_many([x])[0])
-
-    def phi1_many(self, xs) -> np.ndarray:
-        """phi1 at each x; KernelZeroOnCut if K(x, .) vanishes on the cut."""
-        return self.phi1_from_sums(np.array(xs, dtype=float), kernel_sums(
+    def phi1(self, x):
+        """The sectionally analytic factor phi1(x), |x| < r1, phi1(0) = 1: a
+        float at a scalar x, else an array; KernelZeroOnCut if K(x, .)
+        vanishes on the cut."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = self.phi1_from_sums(xs, kernel_sums(
             self.params, self.y_nodes, self.phi1_weights, xs))
+        return out if np.ndim(x) else float(out[0])
 
     @staticmethod
     def phi1_from_sums(xs, sums):

@@ -80,7 +80,8 @@ def _quartic_roots(lead: float, sum_rate: float, shift: float, const: float):
     """Roots of (lead*z^2 - sum_rate*z + const)^2 = (2*shift*z)^2.
 
     Factors the difference of squares into two real quadratics; returns
-    the four roots sorted ascending.
+    the four roots sorted ascending.  Each factor's small root is taken as
+    2 const/(b + sqrt(disc)), which does not cancel.
     """
     roots = []
     for sgn in (+1.0, -1.0):
@@ -90,7 +91,7 @@ def _quartic_roots(lead: float, sum_rate: float, shift: float, const: float):
             raise DegenerateBranchPoints(
                 "complex factor roots; parameters sit on a degeneracy")
         sq = math.sqrt(disc)
-        roots.extend(((b - sq) / (2.0 * lead), (b + sq) / (2.0 * lead)))
+        roots.extend((2.0 * const / (b + sq), (b + sq) / (2.0 * lead)))
     return sorted(roots)
 
 

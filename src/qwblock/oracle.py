@@ -178,7 +178,8 @@ def _walk_moves(params: ModelParams, n1_max: int, n2_max: int):
 
 def _level_fits(params: ModelParams, n2_max: int) -> bool:
     """Whether the level solve takes a box with n2 side ``n2_max``."""
-    spread = 0.5 * n2_max * math.log(params.mu2c2 / params.lambda2)
+    spread = 0.5 * n2_max * (math.log(params.mu2c2)
+                             - math.log(params.lambda2))
     return (n2_max < LEVEL_MAX_PHASES
             and LEVEL_LOG_SPREAD[0] <= spread <= LEVEL_LOG_SPREAD[1])
 
@@ -231,7 +232,8 @@ def _level_walk(params: ModelParams, n1_max: int, n2_max: int):
 
     p, q, a = params.mu1c1, params.lambda1, params.a
     k = np.arange(n2_max + 1)
-    sym = np.exp(0.5 * math.log(params.mu2c2 / params.lambda2) * k)
+    sym = np.exp(0.5 * (math.log(params.mu2c2) - math.log(params.lambda2))
+                 * k)
     theta, left = _level_spectrum(params.mu2c2, params.lambda2, sym)
     # A level's coordinates x_n on ``left`` obey, per mode, x_n = s_n x_(n-1)
     # + t_n for n = 1..N1 (t = 0 in the homogeneous solve); s_n is in (0, rho1]
@@ -254,7 +256,12 @@ def _level_walk(params: ModelParams, n1_max: int, n2_max: int):
         lo, hi = max(cols.start, a), min(cols.stop, n2_max)
         level0[:, lo:hi] += q * left[:, lo + 1:hi + 1]
     level0[:, 0] = mass * cum.sum(axis=0)
-    lu = scipy.linalg.lu_factor(level0, overwrite_a=True, check_finite=False)
+    with warnings.catch_warnings():    # an exactly zero pivot, refused below
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(level0, overwrite_a=True,
+                                    check_finite=False)
+    if not np.diag(lu[0]).all():
+        raise SingularSystem("level-0 matrix of the walk is singular")
 
     def solve(rhs: np.ndarray | None, total: float) -> np.ndarray:
         """Coordinates of the pi with pi Q = rhs (None for 0), sum total."""
@@ -303,6 +310,7 @@ def default_box(params: ModelParams) -> tuple[int, int]:
     return side(rho1), side(rho2) + params.a
 
 
+@refuse_float_errors
 def solve_limiting_walk(params: ModelParams,
                         box: tuple[int, int] | None = None
                         ) -> TruncatedDistribution:

@@ -174,6 +174,7 @@ def eval_P2(params: ModelParams, cache: BoundaryCache,
     return float(np.real(total))
 
 
+@refuse_float_errors
 def solve_boundary(params: ModelParams,
                    cfg: QuadConfig | None = None,
                    cache: BoundaryCache | None = None,
@@ -189,8 +190,9 @@ def solve_boundary(params: ModelParams,
     :func:`as_threshold`), params.a is unread and their vectors return as
     a list.  The top system is formed once, each threshold makes only its
     two LAPACK solves, and the gate, cond, scaling and sign check run over
-    all at once.  The first threshold refused, in the order given, raises
-    its error; solving stops at an exactly singular one.
+    all at once.  A non-finite system refuses them all; else the first
+    threshold refused, in the order given, raises its error, and solving
+    stops at an exactly singular one.
     """
     params = validate(params)
     cache = cache or boundary_cache(params, cfg or QuadConfig())
@@ -206,13 +208,8 @@ def solve_boundary(params: ModelParams,
     np.subtract(0.0, cm.alpha[:top, 1:top + 1], out=system[1:, 1:])
     # M's diagonal, r2^n, every (top + 2)th entry from [1, 1]
     system.reshape(-1)[top + 2::top + 2] += cache.bp.r2 ** np.arange(top)
-    finite, spoiled_from = np.isfinite(system), top + 1
-    if not finite.all():
-        # a non-finite entry at (i, j) spoils every threshold from max(i, j)
-        # on; zeroed, it leaves the others' sums over the top system finite
-        rows, cols = np.nonzero(~finite)
-        spoiled_from = np.maximum(rows, cols).min()
-        system[rows, cols] = 0.0
+    if not np.isfinite(system).all():
+        raise SingularSystem("boundary system is not finite")
     mat, rhs = system[1:, 1:], system[1:, 0]
     # B1, B2 before scaling are c0 + c^T u, (c0, c) the columns of cb
     cb = np.ones((top + 1, 2))
@@ -245,16 +242,14 @@ def solve_boundary(params: ModelParams,
     with np.errstate(all="ignore"):
         u = unscaled[:, 1:]
         abs_u, abs_wt = np.abs(u), np.abs(w).transpose(0, 2, 1)
-        b = np.abs(cb[0] + u @ cb[1:])
+        raw = cb[0] + u @ cb[1:]
+        b = np.abs(raw)
         gate = ((abs_wt @ ((abs_s[1:, 1:] @ abs_u.T).T + abs_s[1:, 0])[
             ..., None])[..., 0] / b).max(axis=1)
-        gate[a_of >= spoiled_from] = np.nan
         cond = (abs_wt.sum(axis=2) / b * (
             (run[:, None, 1:] @ abs_u[..., None])[:, 0] + run[:, :1])).max(
                 axis=1)
-        b2_raw = (unscaled[:, None] @ system[0, :, None])[:, 0, 0]
-        scale = params.drift / (params.lambda1 * unscaled.sum(axis=1)
-                                + params.lambda2 * b2_raw)
+        scale = params.drift / (raw @ [params.lambda1, params.lambda2])
         p = scale[:, None] * unscaled
     refused = ~(gate * EPS <= 1e-10)
     bad = refused | (p < -1e-8).any(axis=1)

@@ -66,7 +66,7 @@ def dense_coefficients(p, cache, n_t):
     w_t = np.full(n_t, math.pi / n_t)
     w_t[-1] *= 0.5
     x_t = np.asarray(x_of_theta(p, theta))
-    phi1_t = cache.phi1_many(x_t)
+    phi1_t = cache.phi1(x_t)
     denom_t = p.lambda1 + p.lambda2 - (p.mu1c1 + p.mu2c2) * x_t
     bp = cache.bp
     y, w = cosine_grid(bp.y1, bp.y2, cache.y_nodes.size)

@@ -169,13 +169,17 @@ def test_phi1_grid_convergence():
         np.testing.assert_allclose(cache.phi1(x), fine.phi1(x), rtol=1e-10)
 
 
-def test_phi1_many_does_not_depend_on_call_order():
+def test_phi1_does_not_depend_on_call_order():
     xs = np.linspace(-0.8, 1.4, 41)
     batch = BoundaryCache.build(BASE, QuadConfig(grid_size=64))
     single = BoundaryCache.build(BASE, QuadConfig(grid_size=64))
+    # a float at a scalar x, an array of xs' shape at an array
+    assert type(single.phi1(0.25)) is float
+    assert type(single.phi1(np.float64(0.25))) is float
+    assert batch.phi1(np.array([0.25])).shape == (1,)
     one_by_one = np.array([single.phi1(x) for x in xs[::-1]])[::-1]
-    np.testing.assert_array_equal(batch.phi1_many(xs), one_by_one)
-    np.testing.assert_array_equal(batch.phi1_many(xs[:5]), one_by_one[:5])
+    np.testing.assert_array_equal(batch.phi1(xs), one_by_one)
+    np.testing.assert_array_equal(batch.phi1(xs[:5]), one_by_one[:5])
     # reference: the cut integral of log phi1, one x at a time
     y, w = cosine_grid(batch.bp.y1, batch.bp.y2, 64)
     numer = (BASE.lambda2 - BASE.mu2c2 * y * y) * theta1(BASE, y) / y
@@ -184,7 +188,7 @@ def test_phi1_many_does_not_depend_on_call_order():
     np.testing.assert_allclose(one_by_one, reference, rtol=1e-13)
 
 
-def test_phi1_many_rejects_each_kernel_zero(cache64):
+def test_phi1_rejects_each_kernel_zero(cache64):
     # a node off the cut gives K(x, .) a real zero: x solves
     # mu1c1*y x^2 + q1(y) x + lambda1*y = 0 there
     p = BASE
@@ -196,8 +200,8 @@ def test_phi1_many_rejects_each_kernel_zero(cache64):
     nodes[-1] = y_out
     bad = dataclasses.replace(cache64, y_nodes=nodes)
     with pytest.raises(KernelZeroOnCut, match=repr(x_bad)[:8]):
-        bad.phi1_many([0.25, x_bad])
-    assert bad.phi1_many([0.25])[0] > 0.0
+        bad.phi1([0.25, x_bad])
+    assert bad.phi1([0.25])[0] > 0.0
 
 
 ARRAY_FIELDS = ("y_nodes", "cut_base", "phi1_weights", "nu_head", "nu_tail",
@@ -244,13 +248,13 @@ def test_boundary_cache_arrays_fit_their_byte_bound(params):
 ], ids=str)
 def test_phi1_theta_matches_the_direct_kernel_sums(params, grid, rtol):
     # the reference takes x(theta) and K in long double, with no Poisson
-    # fold; phi1_many at the double x(theta) is compared at rtol, looser on
+    # fold; phi1 at the double x(theta) is compared at rtol, looser on
     # (1.001, 1, 1, 1), where phi1 is steepest near x2
     cache, phi1_t = assembled_phi1(params, QuadConfig(grid))
     want = phi1_theta_long_double(cache)
     np.testing.assert_allclose(phi1_t, want, rtol=1e-13, atol=0)
     x_t = x_of_theta(params, np.linspace(0.0, math.pi, grid + 1))
-    np.testing.assert_allclose(cache.phi1_many(x_t), want, rtol=rtol, atol=0)
+    np.testing.assert_allclose(cache.phi1(x_t), want, rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("params", [*CASES.values(), NEAR_CRITICAL1], ids=str)
@@ -258,14 +262,13 @@ def test_kernel_guard_passes_the_cut(params):
     # phi1_exponent's refusal of y2 >= r2 is the only guard the theta grid
     # needs: with z = y/r2 < 1 and x(theta) >= x1 > 0,
     # K(x(theta), y)/x(theta) = D >= lambda2 (1 - z)^2 > 0 at every node; K
-    # itself is within 4e-15 there.  bp.x1 is up to 3.4e-14 high (overload2):
-    # branch_points takes it by the quadratic formula, which cancels
+    # itself is within 4e-15 there
     cache = boundary_cache(params)
     z = cache.y_nodes / cache.bp.r2
     assert cache.bp.y2 < cache.bp.r2 and np.all(z < 1.0)
     x = x_of_theta(params, np.linspace(0.0, math.pi,
                                        cache.cfg.grid_size + 1))[:, None]
-    assert np.all(x >= cache.bp.x1 * (1.0 - 1e-13)) and cache.bp.x1 > 0.0
+    assert np.all(x >= cache.bp.x1) and cache.bp.x1 > 0.0
     d = kernel_value(params, x, cache.y_nodes[None, :]) / x
     assert np.min(d / (params.lambda2 * (1.0 - z) ** 2)) > 1.0 - 1e-11
 

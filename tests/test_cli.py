@@ -267,6 +267,45 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+# rates that printed a traceback: a tiny mu1 made branch_points cancel x1
+# away, so phi2's nodes fell outside the x-cut; a tinier one leaves a
+# y-cut 1.7e-12 wide (y1 = y2 = 0 when it cancelled), too narrow for 512
+# nodes; and mu2c2/lambda2 underflows to 0 in the oracle's log of it
+X1_CANCELLED = ["--lambda1", "664.9565651963122", "--lambda2",
+                "136.4692422026517", "--mu1", "1.6353380928973306e-08",
+                "--mu2", "11.851423217450778", "--a", "102"]
+NARROW_Y_CUT = ["--lambda1", "0.017029817323433966", "--lambda2",
+                "19.475918347011675", "--mu1", "4.101211070854807e-21",
+                "--mu2", "0.011480615948647988", "--a", "209"]
+RATIO_UNDERFLOW = ["--lambda1", "20.273302652177783", "--lambda2", "1e+308",
+                   "--mu1", "0.06774863286783757", "--mu2", "1e-308",
+                   "--a", "123", "--box", "7", "239"]
+
+
+def test_a_cut_once_cancelled_is_answered_as_the_oracle_answers(capsys):
+    code, out = run(capsys, ["solve", *X1_CANCELLED])
+    pair = json.loads(out)["blocking"]
+    assert code == 0
+    np.testing.assert_allclose([pair["b1"], pair["b2"]],
+                               [0.9999999999754067, 0.9131568181506285],
+                               rtol=1e-14)
+    code, out = run(capsys, ["compare", *X1_CANCELLED, "--tol", "1e-15"])
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_a_cut_too_narrow_for_the_grid_is_refused(capsys):
+    code = main(["solve", *NARROW_Y_CUT])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: DegenerateBranchPoints: cut [")
+
+
+def test_oracle_takes_the_log_spread_of_an_underflowing_ratio(capsys):
+    code, out = run(capsys, ["oracle", *RATIO_UNDERFLOW])
+    doc = json.loads(out)
+    assert code == 0 and doc["residual"] < 1e-12 and doc["B1"] < 1.0
+
+
 # loads nu*lambda/mu that overflow to inf, which the window bottom and the
 # mode pin used to pass to int()
 OVERFLOWING_LOADS = [
@@ -329,7 +368,9 @@ def test_analytic_path_loads_no_scipy():
     assert out.splitlines()[-1] == "[]"
 
 
-RATE = st.floats(0.5, 10.0)
+# log-uniform on [1e-25, 1e3], and the extremes of a double
+FUZZ_RATE = st.one_of(st.floats(-25.0, 3.0).map(lambda e: 10.0 ** e),
+                      st.sampled_from([1e308, 1e-308]))
 
 
 @st.composite
@@ -338,16 +379,11 @@ def oracle_argv(draw):
     threshold and box, stable or not."""
     command = draw(st.sampled_from(["oracle", "compare"]))
     rates = [flag for name in ("lambda1", "lambda2", "mu1", "mu2")
-             for flag in (f"--{name}", repr(draw(RATE)))]
+             for flag in (f"--{name}", repr(draw(FUZZ_RATE)))]
     box = [str(draw(st.integers(-2, 80))) for _ in range(2)]
     grid = ["--grid-size", "64"] if command == "compare" else []
     return [command, *rates, "--a", str(draw(st.integers(0, 250))),
             "--box", *box, *grid]
-
-
-# log-uniform on [1e-3, 1e3], and the extremes of a double
-FUZZ_RATE = st.one_of(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
-                      st.sampled_from([1e308, 1e-308]))
 
 
 @st.composite

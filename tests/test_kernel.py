@@ -175,6 +175,33 @@ def test_x_of_theta_matches_the_long_double_root(p, grid):
                                atol=0)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("p", [
+    *CASES.values(), NEAR_CRITICAL1, *DOUBLY_NEAR_CRITICAL,
+    # y1 = 7.1e-5, which (b - sqrt(disc))/(2 lead) put 7.9e-9 off
+    ModelParams(74.013, 0.0054066, 0.017491, 0.0045963)], ids=str)
+def test_branch_points_match_the_long_double_roots(p):
+    # each factor lead z^2 - b z + const of the quartic in long double, its
+    # roots 2 const/(b + sqrt(disc)) and (b + sqrt(disc))/(2 lead).  In
+    # double, b = rate_sum -+ 2 sqrt(.) is rounded at rate_sum, and a root
+    # moves by that over sqrt(disc): much where x2 and x3 (or y2 and y3)
+    # nearly meet, not at all from the small root's own formula
+    ld, bp = np.longdouble, branch_points(p)
+    lam1, lam2, mu1, mu2 = map(ld, (p.lambda1, p.lambda2, p.mu1c1, p.mu2c2))
+    s, eps = lam1 + lam2 + mu1 + mu2, np.finfo(float).eps
+    for got, (lead, shift, const) in (
+            ((bp.y1, bp.y2, bp.y3, bp.y4), (mu2, np.sqrt(mu1 * lam1), lam2)),
+            ((bp.x1, bp.x2, bp.x3, bp.x4), (mu1, np.sqrt(mu2 * lam2), lam1))):
+        roots = []
+        for b in (s + 2 * shift, s - 2 * shift):
+            sq = np.sqrt(b * b - 4 * lead * const)
+            tol = 4.0 * eps * (1.0 + s / sq)
+            roots += [(2 * const / (b + sq), tol), ((b + sq) / (2 * lead), tol)]
+        want, tol = zip(*sorted(roots))
+        assert np.all(np.abs(np.array(got, dtype=ld) / want - 1) <= tol)
+
+
 @pytest.mark.parametrize("p", [BASE, UNDERLOAD2, OVERLOAD2], ids=str)
 def test_kernel_on_the_x_cut_is_x_times_the_poisson_denominator(p):
     # K(x(theta), .) has the conjugate roots r2 exp(+-i theta), so

@@ -157,7 +157,7 @@ def test_interpolated_phi1_solves_like_the_direct_tabulation(params,
 
     def direct(half_fold, n_t):
         calls.append(n_t)
-        return cache.phi1_many(x_of_theta(params, np.linspace(
+        return cache.phi1(x_of_theta(params, np.linspace(
             0.0, math.pi, n_t + 1)))
 
     monkeypatch.setattr(boundary, "phi1_on_theta", direct)
@@ -167,13 +167,16 @@ def test_interpolated_phi1_solves_like_the_direct_tabulation(params,
                                atol=1e-14)
 
 
+# solve_boundary, called directly, refuses as sweep does: it once zeroed
+# the inf of r2^206 on M's diagonal and refused a singular matrix
+@pytest.mark.parametrize("solve", [blocking, solve_boundary])
 @pytest.mark.parametrize("params", [
     ModelParams(65.1, 1e308, 0.4977, 53.99, a=24),    # rate_sum ** 2
     ModelParams(0.8808, 41.15, 0.1993, 0.004455, a=206),    # r2 ** a
 ], ids=str)
-def test_rates_beyond_double_precision_are_refused(params):
+def test_rates_beyond_double_precision_are_refused(params, solve):
     with pytest.raises(OutOfRange):
-        blocking(params, CFG)
+        solve(params, CFG)
 
 
 def test_condition_number_is_reported(cache, bvec2):
@@ -311,13 +314,13 @@ def test_eval_P1_array_equals_per_element(cache, bvec2):
     np.testing.assert_array_equal(eval_P1(p, cache, bvec2, xs), per_x)
 
 
-def test_eval_P1_is_phi1_many_and_kernel_sums_bit_for_bit(cache, bvec2):
+def test_eval_P1_is_phi1_and_kernel_sums_bit_for_bit(cache, bvec2):
     # eval_P1 is these two calls: its one kernel_sums over both weights
     # sums each row as the two single-weight calls do
     p = BASE.with_a(2)
     xs = np.linspace(-1.5, 1.2, 1001)
     y = cache.y_nodes
-    phi1 = cache.phi1_many(xs)
+    phi1 = cache.phi1(xs)
     integral = kernel_sums(
         p, y, cache.cut_base * np.polyval(bvec2.p[::-1], y) / y, xs)
     want = (phi1 * float(bvec2.p[0])
@@ -499,6 +502,10 @@ def test_sweep_stops_at_the_first_refused_threshold(monkeypatch):
     with pytest.raises(QwblockError) as info:
         sweep(BASE, thresholds)
     assert type(info.value) is refused
+    # a NaN refuses the whole sweep, 3 too, though past 3's block
+    assert len(sweep(BASE, [3, 62], CFG)) == 2
+    with pytest.raises(SingularSystem, match="not finite"):
+        sweep(BASE, [3, 70], CFG)
 
 
 @pytest.mark.parametrize("entry", [("alpha", (0, 1), math.nan),
@@ -531,15 +538,31 @@ def test_exactly_singular_systems_are_refused(monkeypatch):
         blocking(BASE.with_a(3), CFG)
 
 
+def near_copy_row(row, assembled=assemble):
+    """assemble, with row ``row`` of (rhs | M) that of ``row - 1`` but for
+    1e-12 of M's diagonal entry, so that every threshold past ``row`` is
+    finite and nearly singular."""
+    def near(params, cache):
+        cm = assembled(params, cache)
+        alpha, beta, r2 = cm.alpha.copy(), cm.beta.copy(), cache.bp.r2
+        if row < alpha.shape[0]:
+            # M[i, j] = [i == j] r2^i - alpha[i, j + 1]
+            alpha[row], beta[row] = alpha[row - 1], beta[row - 1]
+            alpha[row, row] -= r2 ** (row - 1)
+            alpha[row, row + 1] += r2 ** row * (1.0 + 1e-12)
+        return dataclasses.replace(cm, alpha=alpha, beta=beta)
+    return near
+
+
 def test_sweep_raises_the_first_refusal_in_the_order_given(monkeypatch):
-    # rhs row 5 is NaN, so 6.. fail the gate; M row 8 is zero, so 9.. are
-    # singular, and solving stops there
+    # rows 4 and 5 are nearly dependent, so 6.. fail the gate; M row 8 is
+    # zero, so 9.. are singular, and solving stops there
     monkeypatch.setattr(solver, "assemble", singular_row(
-        8, spoil("alpha", (5, 0), math.nan)))
+        8, near_copy_row(5)))
     with pytest.raises(SingularSystem, match="condition number"):
         sweep(BASE, [3, 7, 12], CFG)
-    # 3 is not refused: the NaN on the top system's row 5 reaches no sum
-    # of its block
+    # 3 is not refused: its block holds neither row
+    assert len(sweep(BASE, [3, 5], CFG)) == 2
     with pytest.raises(SingularSystem, match="[Ss]ingular matrix"):
         sweep(BASE, [3, 12, 7], CFG)
 
@@ -564,7 +587,7 @@ def test_sweep_makes_two_solves_per_threshold(monkeypatch):
 
 
 def test_sweep_takes_P1_of_one_from_one_row(monkeypatch):
-    calls = {"eval_P1": 0, "phi1_many": 0}
+    calls = {"eval_P1": 0, "phi1": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -573,10 +596,10 @@ def test_sweep_takes_P1_of_one_from_one_row(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(solver, "eval_P1", counting("eval_P1", eval_P1))
-    monkeypatch.setattr(BoundaryCache, "phi1_many",
-                        counting("phi1_many", BoundaryCache.phi1_many))
+    monkeypatch.setattr(BoundaryCache, "phi1",
+                        counting("phi1", BoundaryCache.phi1))
     assert len(sweep(OVERLOAD2, range(31), CFG)) == 31
-    assert calls == {"eval_P1": 0, "phi1_many": 0}
+    assert calls == {"eval_P1": 0, "phi1": 0}
 
 
 @pytest.mark.parametrize("a", [0, 1, 2, 10, 30])
